@@ -39,12 +39,8 @@ from .refine import (
     RefineStats,
     partition_refine,
     quotient,
-    refine_step,
-    silent_closure,
-    splitter,
     weak_bisim_oracle,
     weak_bisim_relation,
-    weak_targets,
 )
 from .regress import (
     ClassificationReport,

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .compose import IoSets, compose, compose_pairwise_reduce, default_io_sets
+from .compose import IoSets, compose, compose_pairwise_reduce, resolve_io
 from .core import Automaton
 from .dot import export_dot
 from .errors import CiaError
@@ -55,12 +55,11 @@ def _split_actions(value: str | None) -> frozenset[str]:
     return frozenset(tok for tok in value.split(",") if tok)
 
 
-def _io_from_args(args, components) -> IoSets:
+def _io_policy(args) -> str | IoSets:
+    """Explicit --provided/--required sets override the --io policy name."""
     if args.provided is not None or args.required is not None:
         return IoSets(_split_actions(args.provided), _split_actions(args.required))
-    if args.io == "closed":
-        return IoSets.closed()
-    return default_io_sets(components)
+    return args.io
 
 
 def _metrics_row(automaton: Automaton) -> dict:
@@ -111,7 +110,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_compose(args) -> int:
     components = _read_automata(args.files)
-    io_sets = _io_from_args(args, components)
+    io_sets = resolve_io(_io_policy(args), components)
     if args.pairwise:
         result = compose_pairwise_reduce(
             components, io_sets, timeout=args.timeout, strict_internal=args.strict_internal
@@ -166,12 +165,9 @@ def _cmd_experiment(args) -> int:
         return 0
     if not args.corpus:
         raise CiaError("experiment needs --corpus DIR (or --report CSV)")
-    io_policy: str | IoSets = args.io
-    if args.provided is not None or args.required is not None:
-        io_policy = IoSets(_split_actions(args.provided), _split_actions(args.required))
     rows = run_experiment(
         args.corpus,
-        io_policy=io_policy,
+        io_policy=_io_policy(args),
         timeout=args.timeout,
         workers=args.workers,
         deterministic_timing=args.deterministic_timing,

@@ -26,7 +26,7 @@ from .core import Automaton, Hierarchy, Label, LabelKind, Transition, reachable
 from .errors import ValidationError
 from .refine import partition_refine, quotient
 
-__all__ = ["IoSets", "default_io_sets", "compose", "compose_pairwise_reduce"]
+__all__ = ["IoSets", "default_io_sets", "resolve_io", "compose", "compose_pairwise_reduce"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,17 @@ def default_io_sets(components: Iterable[Automaton]) -> IoSets:
             elif kind is LabelKind.OUTPUT:
                 provided.add(trans.label.action)
     return IoSets(frozenset(provided), frozenset(required))
+
+
+def resolve_io(policy: str | IoSets, components: Iterable[Automaton]) -> IoSets:
+    """IoSets for a policy: explicit sets as given, ``"open"`` or ``"closed"``."""
+    if isinstance(policy, IoSets):
+        return policy
+    if policy == "open":
+        return default_io_sets(components)
+    if policy == "closed":
+        return IoSets.closed()
+    raise ValueError(f"unknown io policy {policy!r}")
 
 
 def _state_token(parts: Sequence[str]) -> str:

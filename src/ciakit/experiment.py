@@ -8,8 +8,9 @@ success when it merged at least one pair of states.
 
 Timing: ``elapsed_ms`` is the wall-clock refinement time by default.  With
 ``deterministic_timing`` it records the refinement work counter instead
-(splitter evaluations plus refine steps), which makes repeated runs
-byte-identical; the wall clock still enforces the timeout either way.
+(``RefineStats.work_units()``: saturated label rows plus node signatures
+computed), which makes repeated runs byte-identical; the wall clock still
+enforces the timeout either way.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .compose import IoSets, compose, default_io_sets
+from .compose import IoSets, compose, resolve_io
 from .core import Automaton, reachable
 from .errors import CiaError, RefinementTimeout
 from .fmt import parse_automata
@@ -114,16 +115,6 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
     return rows
 
 
-def _resolve_io(io_policy: str | IoSets, components: list[Automaton]) -> IoSets:
-    if isinstance(io_policy, IoSets):
-        return io_policy
-    if io_policy == "open":
-        return default_io_sets(components)
-    if io_policy == "closed":
-        return IoSets.closed()
-    raise ValueError(f"unknown io policy {io_policy!r}")
-
-
 def run_pair(
     pair_id: str,
     first: Automaton,
@@ -134,7 +125,7 @@ def run_pair(
     strict_internal: bool = False,
 ) -> ExperimentRow:
     """Full pipeline on one pair of automata."""
-    io_sets = _resolve_io(io_policy, [first, second])
+    io_sets = resolve_io(io_policy, [first, second])
     composite = reachable(compose([first, second], io_sets))
     pre = metrics_record(composite)
     stats = RefineStats()

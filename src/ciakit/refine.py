@@ -8,13 +8,20 @@ so a silent move never has to reproduce the specific internal label; the
 ``strict_internal`` switch instead requires the exact internal label to occur
 (closure-label-closure, like a visible one).
 
-The refinement loop keeps singleton blocks apart from splittable ones, walks
-labels in canonical order, refines the multi-state blocks against a chosen
-candidate class, and restarts the worklist after every successful split until
-a full sweep over all labels leaves the partition unchanged.  The result is
-the coarsest partition stable under all splitters, i.e. minimal up to weak
-bisimulation, and it is deterministic (candidate classes are chosen
-smallest-first with a lexicographic tie-break).
+Weak bisimulation is strong bisimulation on this silently saturated
+relation, and ``partition_refine`` computes it in three steps:
+
+1. Condense the silent graph into its strongly connected components
+   (Tarjan).  States of one silent SCC have equal closures, hence equal
+   saturated rows for every label in both semantics, so they are always
+   weakly bisimilar; synchronization cliques collapse here.
+2. Saturate: one bitset pass over the SCC DAG, sinks first, computes the
+   silent closure, and one more pass per label computes closure;l;closure.
+   In the default semantics every internal label shares the closure row.
+3. Refine by signatures: a node's signature is its block plus, per label,
+   the set of blocks its saturated row reaches.  Splitting by signature
+   until the block count stops growing gives the coarsest stable partition,
+   i.e. the states modulo weak bisimilarity, which is unique.
 
 The module also ships a brute-force greatest-fixpoint weak-bisimulation
 oracle for cross-checking refinement results on small instances.
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .core import Automaton, Label, LabelKind, Transition
 from .errors import OracleLimitError, RefinementTimeout, ValidationError
@@ -32,17 +39,11 @@ from .errors import OracleLimitError, RefinementTimeout, ValidationError
 __all__ = [
     "Partition",
     "RefineStats",
-    "silent_closure",
-    "weak_targets",
-    "splitter",
-    "refine_step",
     "partition_refine",
     "quotient",
     "weak_bisim_relation",
     "weak_bisim_oracle",
 ]
-
-SilentClosure = Mapping[str, frozenset[str]]
 
 
 def _block_key(block: frozenset[str]) -> tuple[int, tuple[str, ...]]:
@@ -51,20 +52,17 @@ def _block_key(block: frozenset[str]) -> tuple[int, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint non-empty blocks covering the state set, split by block size.
+    """Disjoint non-empty blocks covering the state set.
 
-    ``singletons`` holds the size-1 blocks (never refinable again),
-    ``multis`` the blocks of two or more states.  Both tuples are kept in
-    canonical order, so partitions compare by value.
+    ``blocks`` is kept in canonical order (by size, then by sorted members),
+    so partitions compare by value.
     """
 
-    singletons: tuple[frozenset[str], ...]
-    multis: tuple[frozenset[str], ...]
+    blocks: tuple[frozenset[str], ...]
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[frozenset[str]]) -> "Partition":
-        singles: list[frozenset[str]] = []
-        multis: list[frozenset[str]] = []
+        out: list[frozenset[str]] = []
         seen: set[str] = set()
         for block in blocks:
             block = frozenset(block)
@@ -73,15 +71,11 @@ class Partition:
             if seen & block:
                 raise ValidationError("partition blocks are not disjoint")
             seen |= block
-            (singles if len(block) == 1 else multis).append(block)
-        return cls(tuple(sorted(singles, key=_block_key)), tuple(sorted(multis, key=_block_key)))
-
-    @property
-    def blocks(self) -> tuple[frozenset[str], ...]:
-        return tuple(sorted(self.singletons + self.multis, key=_block_key))
+            out.append(block)
+        return cls(tuple(sorted(out, key=_block_key)))
 
     def block_count(self) -> int:
-        return len(self.singletons) + len(self.multis)
+        return len(self.blocks)
 
     def block_of(self) -> dict[str, frozenset[str]]:
         return {state: block for block in self.blocks for state in block}
@@ -89,7 +83,12 @@ class Partition:
 
 @dataclass
 class RefineStats:
-    """Deterministic work counters filled in by partition_refine."""
+    """Deterministic work counters filled in by partition_refine.
+
+    ``sweeps`` counts signature rounds, ``refine_steps`` the saturated label
+    rows computed, and ``splitter_evals`` the node signatures computed (SCC
+    nodes times rounds).  ``elapsed_s`` is the wall-clock time spent.
+    """
 
     sweeps: int = 0
     refine_steps: int = 0
@@ -100,88 +99,6 @@ class RefineStats:
         return self.refine_steps + self.splitter_evals
 
 
-def silent_closure(automaton: Automaton) -> dict[str, frozenset[str]]:
-    """Reflexive-transitive closure of the internal (silent) transitions."""
-    succ: dict[str, set[str]] = {state: {state} for state in automaton.states}
-    for trans in automaton.transitions:
-        if trans.label.kind is LabelKind.INTERNAL:
-            succ[trans.source].add(trans.target)
-    closure = {state: set(nbrs) for state, nbrs in succ.items()}
-    changed = True
-    while changed:
-        changed = False
-        for state in closure:
-            extra: set[str] = set()
-            for mid in closure[state]:
-                extra |= closure[mid]
-            if not extra <= closure[state]:
-                closure[state] |= extra
-                changed = True
-    return {state: frozenset(members) for state, members in closure.items()}
-
-
-def weak_targets(
-    state: str,
-    label: Label,
-    automaton: Automaton,
-    closure: SilentClosure | None = None,
-    strict_internal: bool = False,
-) -> frozenset[str]:
-    """States weakly reachable from ``state`` through ``label``."""
-    if closure is None:
-        closure = silent_closure(automaton)
-    if label.kind is LabelKind.INTERNAL and not strict_internal:
-        return frozenset(closure[state])
-    out: set[str] = set()
-    for pre in closure[state]:
-        for trans in automaton.transitions:
-            if trans.source == pre and trans.label == label:
-                out |= closure[trans.target]
-    return frozenset(out)
-
-
-def splitter(
-    state: str,
-    label: Label,
-    candidate: frozenset[str],
-    automaton: Automaton,
-    closure: SilentClosure | None = None,
-    strict_internal: bool = False,
-) -> bool:
-    """True iff ``state`` can weakly reach the candidate class via ``label``."""
-    return bool(weak_targets(state, label, automaton, closure, strict_internal) & candidate)
-
-
-def refine_step(
-    partition: Partition,
-    label: Label,
-    candidate: frozenset[str],
-    automaton: Automaton,
-    closure: SilentClosure | None = None,
-    strict_internal: bool = False,
-) -> Partition:
-    """Split every block by the splitter's verdict against one candidate class."""
-    if closure is None:
-        closure = silent_closure(automaton)
-    out: list[frozenset[str]] = []
-    for block in partition.blocks:
-        hits = frozenset(
-            state
-            for state in block
-            if splitter(state, label, candidate, automaton, closure, strict_internal)
-        )
-        misses = block - hits
-        for part in (hits, misses):
-            if part:
-                out.append(part)
-    return Partition.from_blocks(out)
-
-
-# ---------------------------------------------------------------------------
-# Bitset refinement engine.  States are mapped to indices in canonical order;
-# state sets become machine integers, so splitter checks are single ANDs.
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -189,72 +106,59 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _Engine:
-    def __init__(self, automaton: Automaton, strict_internal: bool):
-        self.states = sorted(automaton.states)
-        self.index = {state: i for i, state in enumerate(self.states)}
-        n = len(self.states)
-        self.n = n
-        self.strict = strict_internal
+def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int]:
+    """Iterative Tarjan over the silent graph.
 
-        internal_succ = [0] * n
-        by_label: dict[Label, list[tuple[int, int]]] = {}
-        for trans in automaton.transitions:
-            src, dst = self.index[trans.source], self.index[trans.target]
-            if trans.label.kind is LabelKind.INTERNAL:
-                internal_succ[src] |= 1 << dst
-            by_label.setdefault(trans.label, []).append((src, dst))
+    Returns each state's component id and the component count.  Ids follow
+    emission order, so every silent edge leads to an equal or smaller id.
+    """
+    n = len(silent)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(silent[root]))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(silent[w])))
+                    break
+                if comp[w] < 0:  # visited and still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return comp, count
 
-        # silent closure: reflexive, then propagate until stable
-        closure = [(1 << i) | internal_succ[i] for i in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                row = closure[i]
-                acc = row
-                for j in _bits(row):
-                    acc |= closure[j]
-                if acc != row:
-                    closure[i] = acc
-                    changed = True
-        self.closure = closure
 
-        closure_t = [0] * n
-        for i in range(n):
-            for j in _bits(closure[i]):
-                closure_t[j] |= 1 << i
-        self.closure_t = closure_t
-
-        self.by_label = by_label
-        visible = sorted(
-            (l for l in by_label if l.kind is not LabelKind.INTERNAL), key=Label.sort_key
-        )
-        if strict_internal:
-            internal = sorted(
-                (l for l in by_label if l.kind is LabelKind.INTERNAL), key=Label.sort_key
-            )
-            self.labels: list[Label | None] = sorted(visible + internal, key=Label.sort_key)
-        else:
-            # all internal labels share the closure splitter; one silent
-            # pseudo-label (None) covers them collectively
-            self.labels = [None] + list(visible)
-        self._rows: dict[Label | None, list[int]] = {}
-
-    def rows(self, label: Label | None) -> list[int]:
-        cached = self._rows.get(label)
-        if cached is not None:
-            return cached
-        if label is None:
-            rows = self.closure
-        else:
-            rows = [0] * self.n
-            for src, dst in self.by_label[label]:
-                reach = self.closure[dst]
-                for q in _bits(self.closure_t[src]):
-                    rows[q] |= reach
-        self._rows[label] = rows
-        return rows
+def _propagate(rows: list[int], dag: list[set[int]]) -> list[int]:
+    """Union each node's row with the rows of its silent successors, sinks first."""
+    for c, succs in enumerate(dag):
+        row = rows[c]
+        for d in succs:
+            row |= rows[d]
+        rows[c] = row
+    return rows
 
 
 def partition_refine(
@@ -265,85 +169,70 @@ def partition_refine(
 ) -> Partition:
     """Coarsest partition of the state set stable under all weak splitters.
 
-    ``timeout`` (seconds) is checked once per refine step; on expiry the
-    partial partition is discarded and RefinementTimeout raised.
+    ``timeout`` (seconds) is checked after SCC condensation, after each
+    label's saturation and once per signature round; on expiry the partial
+    partition is discarded and RefinementTimeout raised.
     """
     started = time.monotonic()
     if stats is None:
         stats = RefineStats()
-    engine = _Engine(automaton, strict_internal)
-    n = engine.n
 
-    def mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
-        return (mask.bit_count(), tuple(_bits(mask)))
+    def check_budget() -> None:
+        elapsed = time.monotonic() - started
+        if timeout is not None and elapsed > timeout:
+            stats.elapsed_s = elapsed
+            raise RefinementTimeout(elapsed, timeout)
 
-    full = (1 << n) - 1
-    multis: list[int] = []
-    singles: list[int] = []
-    if n == 1:
-        singles.append(full)
-    elif n > 1:
-        multis.append(full)
+    states = sorted(automaton.states)
+    index = {state: i for i, state in enumerate(states)}
+    silent: list[list[int]] = [[] for _ in states]
+    by_label: dict[Label, list[tuple[int, int]]] = {}
+    for trans in automaton.transitions:
+        src, dst = index[trans.source], index[trans.target]
+        if trans.label.kind is LabelKind.INTERNAL:
+            silent[src].append(dst)
+            if not strict_internal:
+                continue  # every internal label shares the closure row
+        by_label.setdefault(trans.label, []).append((src, dst))
 
-    or_cache: dict[tuple[int, int], int] = {}
+    comp, k = _silent_sccs(silent)
+    dag: list[set[int]] = [set() for _ in range(k)]
+    for src, targets in enumerate(silent):
+        for dst in targets:
+            if comp[src] != comp[dst]:
+                dag[comp[src]].add(comp[dst])
+    check_budget()
 
-    def block_reach(block: int, label_idx: int, rows: list[int]) -> int:
-        key = (block, label_idx)
-        acc = or_cache.get(key)
-        if acc is None:
-            acc = 0
-            for i in _bits(block):
-                acc |= rows[i]
-            or_cache[key] = acc
-        return acc
+    closure = _propagate([1 << c for c in range(k)], dag)
+    label_rows: list[list[int]] = [] if strict_internal else [closure]
+    for label in sorted(by_label, key=Label.sort_key):
+        step = [0] * k
+        for src, dst in by_label[label]:
+            step[comp[src]] |= closure[comp[dst]]
+        label_rows.append(_propagate(step, dag))
+        check_budget()
+    stats.refine_steps += len(label_rows)
 
-    repeat = True
-    while repeat and multis:
-        repeat = False
+    block = [0] * k
+    count = 1 if k else 0
+    while True:
+        check_budget()
         stats.sweeps += 1
-        for label_idx, label in enumerate(engine.labels):
-            rows = engine.rows(label)
-            worklist = sorted(multis + singles, key=mask_key)
-            while worklist:
-                if timeout is not None:
-                    elapsed = time.monotonic() - started
-                    if elapsed > timeout:
-                        stats.elapsed_s = elapsed
-                        raise RefinementTimeout(elapsed, timeout)
-                candidate = worklist.pop(0)
-                stats.refine_steps += 1
-                new_multis: list[int] = []
-                new_singles: list[int] = []
-                changed = False
-                for block in multis:
-                    if block_reach(block, label_idx, rows) & candidate == 0:
-                        new_multis.append(block)
-                        continue
-                    hits = 0
-                    for i in _bits(block):
-                        stats.splitter_evals += 1
-                        if rows[i] & candidate:
-                            hits |= 1 << i
-                    misses = block & ~hits
-                    if hits and misses:
-                        changed = True
-                        for part in (hits, misses):
-                            (new_singles if part.bit_count() == 1 else new_multis).append(part)
-                    else:
-                        new_multis.append(block)
-                if changed:
-                    multis = new_multis
-                    singles.extend(new_singles)
-                    worklist = sorted(multis + singles, key=mask_key)
-                    repeat = True
-                if not multis:
-                    break
-            if not multis:
-                break
+        stats.splitter_evals += k
+        ids: dict[tuple, int] = {}
+        refined = []
+        for c in range(k):
+            reached = tuple(frozenset(block[d] for d in _bits(rows[c])) for rows in label_rows)
+            refined.append(ids.setdefault((block[c], reached), len(ids)))
+        if len(ids) == count:
+            break
+        block, count = refined, len(ids)
 
     stats.elapsed_s = time.monotonic() - started
-    blocks = [frozenset(engine.states[i] for i in _bits(mask)) for mask in multis + singles]
-    return Partition.from_blocks(blocks)
+    members: list[list[str]] = [[] for _ in range(count)]
+    for i, state in enumerate(states):
+        members[block[comp[i]]].append(state)
+    return Partition.from_blocks(frozenset(group) for group in members)
 
 
 def quotient(automaton: Automaton, partition: Partition) -> Automaton:

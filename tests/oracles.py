@@ -2,19 +2,23 @@
 
 Each oracle deliberately takes a different route than the library code it
 checks: set-comprehension enumeration for composition, plain BFS for
-reachability, exact rational arithmetic for the Gini coefficient, mpmath for
-logs and tail probabilities, and grid search for the logistic MLE.
+reachability, naive set fixpoints for silent closure and weak moves,
+exact rational arithmetic for the Gini coefficient, mpmath for logs and tail
+probabilities, and grid search for the logistic MLE.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import Mapping
 
 import mpmath as mp
 import numpy as np
 
-from ciakit import Automaton, IoSets, Label, LabelKind, Transition
+from ciakit import Automaton, IoSets, Label, LabelKind, Partition, Transition
+
+SilentClosure = Mapping[str, frozenset[str]]
 
 
 def compose_oracle(components, io: IoSets) -> frozenset[Transition]:
@@ -80,6 +84,83 @@ def bfs_reachable_oracle(automaton: Automaton) -> frozenset[str]:
                 seen.add(trans.target)
                 frontier.append(trans.target)
     return frozenset(seen)
+
+
+def silent_closure(automaton: Automaton) -> dict[str, frozenset[str]]:
+    """Reflexive-transitive closure of the internal (silent) transitions."""
+    succ: dict[str, set[str]] = {state: {state} for state in automaton.states}
+    for trans in automaton.transitions:
+        if trans.label.kind is LabelKind.INTERNAL:
+            succ[trans.source].add(trans.target)
+    closure = {state: set(nbrs) for state, nbrs in succ.items()}
+    changed = True
+    while changed:
+        changed = False
+        for state in closure:
+            extra: set[str] = set()
+            for mid in closure[state]:
+                extra |= closure[mid]
+            if not extra <= closure[state]:
+                closure[state] |= extra
+                changed = True
+    return {state: frozenset(members) for state, members in closure.items()}
+
+
+def weak_targets(
+    state: str,
+    label: Label,
+    automaton: Automaton,
+    closure: SilentClosure | None = None,
+    strict_internal: bool = False,
+) -> frozenset[str]:
+    """States weakly reachable from ``state`` through ``label``."""
+    if closure is None:
+        closure = silent_closure(automaton)
+    if label.kind is LabelKind.INTERNAL and not strict_internal:
+        return frozenset(closure[state])
+    out: set[str] = set()
+    for pre in closure[state]:
+        for trans in automaton.transitions:
+            if trans.source == pre and trans.label == label:
+                out |= closure[trans.target]
+    return frozenset(out)
+
+
+def splitter(
+    state: str,
+    label: Label,
+    candidate: frozenset[str],
+    automaton: Automaton,
+    closure: SilentClosure | None = None,
+    strict_internal: bool = False,
+) -> bool:
+    """True iff ``state`` can weakly reach the candidate class via ``label``."""
+    return bool(weak_targets(state, label, automaton, closure, strict_internal) & candidate)
+
+
+def refine_step(
+    partition: Partition,
+    label: Label,
+    candidate: frozenset[str],
+    automaton: Automaton,
+    closure: SilentClosure | None = None,
+    strict_internal: bool = False,
+) -> Partition:
+    """Split every block by the splitter's verdict against one candidate class."""
+    if closure is None:
+        closure = silent_closure(automaton)
+    out: list[frozenset[str]] = []
+    for block in partition.blocks:
+        hits = frozenset(
+            state
+            for state in block
+            if splitter(state, label, candidate, automaton, closure, strict_internal)
+        )
+        misses = block - hits
+        for part in (hits, misses):
+            if part:
+                out.append(part)
+    return Partition.from_blocks(out)
 
 
 def gini_oracle(values) -> Fraction | None:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ciakit.cli import main
-from ciakit import serialize_automaton
+from ciakit import parse_automaton, reachable, serialize_automaton
 from conftest import aut, handshake_pair
 
 MINIMAL = """\
@@ -65,6 +65,20 @@ class TestComposeRefine:
     def test_compose_with_overrides(self, pair_file, capsys):
         assert main(["compose", str(pair_file), "--provided", "m", "--required", "m"]) == 0
         assert capsys.readouterr().out.count("trans") == 5
+
+    @pytest.mark.parametrize(
+        "io_args", [["--io", "closed"], ["--io", "open"], ["--provided", "m", "--required", ""]]
+    )
+    def test_experiment_resolves_io_like_compose(self, pair_file, capsys, io_args):
+        assert main(["compose", str(pair_file), *io_args]) == 0
+        composite = reachable(parse_automaton(capsys.readouterr().out))
+        corpus = str(pair_file.parent)
+        assert main(["experiment", "--corpus", corpus, "--format", "json", *io_args]) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert (row["states"], row["transitions"]) == (
+            len(composite.states),
+            len(composite.transitions),
+        )
 
     def test_compose_pairwise(self, pair_file, capsys):
         assert main(["compose", str(pair_file), "--io", "closed", "--pairwise"]) == 0

@@ -1,6 +1,7 @@
 import pytest
 
 from ciakit import (
+    GenParams,
     IoSets,
     Label,
     LabelKind,
@@ -10,18 +11,17 @@ from ciakit import (
     RefineStats,
     ValidationError,
     compose,
+    default_io_sets,
+    generate_corpus,
     partition_refine,
     quotient,
     reachable,
-    refine_step,
     serialize_automaton,
-    silent_closure,
-    splitter,
     weak_bisim_oracle,
     weak_bisim_relation,
-    weak_targets,
 )
 from conftest import aut, handshake_pair, random_automaton
+from oracles import refine_step, silent_closure, splitter, weak_targets
 
 TAU = Label("A", "t", "A")
 IN_A = Label(None, "a", "A")
@@ -112,8 +112,8 @@ class TestRefineStep:
         start = Partition.from_blocks([frozenset({"s0", "s1", "s2"})])
         out = refine_step(start, IN_A, frozenset({"s2"}), a)
         assert set(out.blocks) == {frozenset({"s0", "s1"}), frozenset({"s2"})}
-        assert out.multis == (frozenset({"s0", "s1"}),)
-        assert out.singletons == (frozenset({"s2"}),)
+        assert tuple(b for b in out.blocks if len(b) > 1) == (frozenset({"s0", "s1"}),)
+        assert tuple(b for b in out.blocks if len(b) == 1) == (frozenset({"s2"}),)
 
     def test_unreachable_candidate_changes_nothing(self):
         a = branching()
@@ -166,6 +166,15 @@ class TestPartitionRefine:
         a = random_automaton(5, max_states=12)
         with pytest.raises(RefinementTimeout):
             partition_refine(a, timeout=-1.0)
+
+    def test_zero_budget_raises_promptly_on_a_large_composite(self):
+        params = GenParams(state_count_range=(24, 40), avoid_deadlocks=True, seed=7)
+        first, second = generate_corpus(params, 3)[2]
+        composite = reachable(compose([first, second], default_io_sets([first, second])))
+        assert len(composite.states) == 1170
+        with pytest.raises(RefinementTimeout) as info:
+            partition_refine(composite, timeout=0.0)
+        assert info.value.elapsed < 0.5
 
     def test_deterministic_across_runs(self):
         for seed in range(10):
