@@ -4,7 +4,9 @@ Each ``.cia`` file in a corpus holds one pair (two automaton blocks).  Per
 pair the pipeline runs: compose -> reachability pruning -> structural metrics
 -> timed partition refinement -> quotient -> one CSV row.  Row order follows
 sorted file names regardless of worker count.  Refinement is considered a
-success when it merged at least one pair of states.
+success when it merged at least one pair of states.  A pair whose file is
+malformed or whose pipeline raises becomes a ``status=error`` row, and the
+run goes on.
 
 Timing: ``elapsed_ms`` is the wall-clock refinement time by default.  With
 ``deterministic_timing`` it records the refinement work counter instead
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 OVER_MS = 300_000  # five minutes
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,9 @@ def _run_file(args) -> ExperimentRow:
             deterministic_timing, strict_internal,
         )
     except CiaError:
+        return _error_row(pair_id)
+    except Exception:  # a bug hit by one pair must not end the whole run
+        _log.exception("pair %s failed", pair_id)
         return _error_row(pair_id)
 
 

@@ -21,7 +21,9 @@ relation, and ``partition_refine`` computes it in three steps:
 3. Refine by signatures: a node's signature is its block plus, per label,
    the set of blocks its saturated row reaches.  Splitting by signature
    until the block count stops growing gives the coarsest stable partition,
-   i.e. the states modulo weak bisimilarity, which is unique.
+   i.e. the states modulo weak bisimilarity, which is unique.  Interning
+   rows (a node keeps a fixed profile of row ids) lets a round build one
+   reached-block set per distinct row value, not one per node and label.
 
 The module also ships a brute-force greatest-fixpoint weak-bisimulation
 oracle for cross-checking refinement results on small instances.
@@ -213,17 +215,24 @@ def partition_refine(
         check_budget()
     stats.refine_steps += len(label_rows)
 
+    # lists, not tuples: freed tuples linger on per-size free lists and raise peak memory
+    row_id: dict[int, int] = {}
+    profile = [[row_id.setdefault(r[c], len(row_id)) for r in label_rows] for c in range(k)]
+    targets = [list(_bits(row)) for row in row_id]
+    del closure, label_rows, row_id
+
     block = [0] * k
     count = 1 if k else 0
     while True:
         check_budget()
         stats.sweeps += 1
         stats.splitter_evals += k
+        reached = [frozenset(map(block.__getitem__, nodes)) for nodes in targets]
         ids: dict[tuple, int] = {}
-        refined = []
-        for c in range(k):
-            reached = tuple(frozenset(block[d] for d in _bits(rows[c])) for rows in label_rows)
-            refined.append(ids.setdefault((block[c], reached), len(ids)))
+        refined = [
+            ids.setdefault((b, tuple(map(reached.__getitem__, p))), len(ids))
+            for b, p in zip(block, profile)
+        ]
         if len(ids) == count:
             break
         block, count = refined, len(ids)
@@ -241,7 +250,8 @@ def quotient(automaton: Automaton, partition: Partition) -> Automaton:
     Block states are renamed ``r0, r1, ...`` in canonical block order; an
     internal transition survives exactly when it crosses two distinct blocks.
     The hierarchy is preserved, so the quotient stays comparable with the
-    original.
+    original.  Dropping the loops is exact only in the default semantics; a
+    dropped loop may carry an internal label that ``strict_internal`` needs.
     """
     blocks = partition.blocks
     name_of: dict[frozenset[str], str] = {block: f"r{i}" for i, block in enumerate(blocks)}

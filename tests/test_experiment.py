@@ -100,6 +100,23 @@ class TestRunExperiment:
         assert rows[1].status == "ok"
         assert rows[2].status == "error"  # one block only
 
+    def test_unexpected_exception_becomes_error_row(self, tmp_path, monkeypatch, caplog):
+        corpus = tmp_path / "corpus"
+        write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 3), corpus)
+        expected = run_experiment(corpus, deterministic_timing=True)
+
+        def flaky(pair_id, *args):
+            if pair_id == "pair00001":
+                raise RuntimeError("boom")
+            return run_pair(pair_id, *args)
+
+        monkeypatch.setattr("ciakit.experiment.run_pair", flaky)
+        rows = run_experiment(corpus, workers=1, deterministic_timing=True)
+        assert [r.status for r in rows] == ["ok", "error", "ok"]
+        assert rows[1].pair_id == "pair00001"
+        assert (rows[0], rows[2]) == (expected[0], expected[2])
+        assert "pair pair00001 failed" in caplog.text and "RuntimeError: boom" in caplog.text
+
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(CiaError, match="no .cia files"):
             run_experiment(tmp_path)

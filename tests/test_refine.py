@@ -1,4 +1,8 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciakit import (
     GenParams,
@@ -26,6 +30,11 @@ from oracles import refine_step, silent_closure, splitter, weak_targets
 TAU = Label("A", "t", "A")
 IN_A = Label(None, "a", "A")
 IN_B = Label(None, "b", "A")
+
+# Two-component label pool for generated automata: two silent labels and two
+# visible ones, so strict mode has distinct internal labels to tell apart.
+SILENT = (Label("A", "t", "B"), Label("B", "u", "A"))
+VISIBLE = (Label(None, "a", "A"), Label("B", "b", None))
 
 
 def silent_chain():
@@ -255,6 +264,11 @@ class TestQuotient:
         assert q.states == {"r0", "r1", "r2"}
 
 
+def oracle_classes(a, strict_internal=False):
+    relation = weak_bisim_relation(a, strict_internal=strict_internal)
+    return {frozenset(p for p in a.states if (q, p) in relation) for q in a.states}
+
+
 class TestOracle:
     def test_quotient_always_bisimilar(self):
         for seed in range(25):
@@ -297,17 +311,73 @@ class TestOracle:
         # the refined blocks must be exactly the greatest relation's classes
         for seed in range(40):
             a = random_automaton(seed * 3 + 1, max_states=10)
-            relation = weak_bisim_relation(a)
-            expected = {frozenset(p for p in a.states if (q, p) in relation) for q in a.states}
-            assert set(partition_refine(a).blocks) == expected
+            assert set(partition_refine(a).blocks) == oracle_classes(a)
 
     def test_strict_partition_equals_strict_oracle_classes(self):
         for seed in range(25):
             a = random_automaton(seed * 5 + 2, max_states=10)
-            relation = weak_bisim_relation(a, strict_internal=True)
-            expected = {frozenset(p for p in a.states if (q, p) in relation) for q in a.states}
             got = partition_refine(a, strict_internal=True)
-            assert set(got.blocks) == expected
+            assert set(got.blocks) == oracle_classes(a, strict_internal=True)
+
+
+@st.composite
+def clique_automata(draw):
+    """At most 10 states in a few silent rings plus sparse edges over 1-2 labels.
+
+    Few labels and shared rings make many states' saturated rows equal, which
+    is the case row interning in the refinement engine has to get right.
+    """
+    n = draw(st.integers(1, 10))
+    states = [f"s{i}" for i in range(n)]
+    ring_of = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    trans = []
+    for ring in sorted(set(ring_of)):
+        members = [q for q, r in zip(states, ring_of) if r == ring]
+        label = draw(st.sampled_from(SILENT))
+        if len(members) > 1:
+            trans += [(q, label, p) for q, p in zip(members, members[1:] + members[:1])]
+    labels = draw(st.lists(st.sampled_from(SILENT + VISIBLE), min_size=1, max_size=2, unique=True))
+    edge = st.tuples(st.sampled_from(states), st.sampled_from(labels), st.sampled_from(states))
+    trans += draw(st.lists(edge, max_size=n + 2))
+    return aut(hier=("A", "B"), states=states, trans=trans)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(a=clique_automata())
+def test_partition_equals_oracle_classes_on_clique_automata(strict, a):
+    got = partition_refine(a, strict_internal=strict)
+    assert set(got.blocks) == oracle_classes(a, strict_internal=strict)
+
+
+# Seeded composites above the oracle's size limit, with the refinement
+# counters and a digest of the canonical partition pinned.  The counters feed
+# ``--deterministic-timing`` output, so a change here changes experiment CSVs.
+PINNED = [
+    # (params, pair index, io, strict_internal, states, sweeps, refine_steps,
+    #  splitter_evals, blocks, partition digest)
+    (GenParams(state_count_range=(24, 40), avoid_deadlocks=True, seed=7), 2, "open", False,
+     1170, 3, 17, 90, 21, "933e77d88d59dc2b"),
+    (GenParams(state_count_range=(12, 24), clique_bias=0.4, seed=11), 0, "open", False,
+     408, 5, 17, 325, 33, "30fb131afedb03fc"),
+    (GenParams(state_count_range=(12, 24), clique_bias=0.4, seed=13), 0, "closed", True,
+     387, 3, 16, 201, 32, "ca7a442d7fe1c371"),
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=["large-open", "clique-open", "clique-closed-strict"])
+def test_pinned_stats_and_partition_on_large_composites(case):
+    params, index, io, strict, states, sweeps, steps, evals, blocks, digest = case
+    first, second = generate_corpus(params, index + 1)[index]
+    io_sets = default_io_sets([first, second]) if io == "open" else IoSets.closed()
+    composite = reachable(compose([first, second], io_sets))
+    assert len(composite.states) == states
+    stats = RefineStats()
+    part = partition_refine(composite, strict_internal=strict, stats=stats)
+    assert (stats.sweeps, stats.refine_steps, stats.splitter_evals) == (sweeps, steps, evals)
+    assert part.block_count() == blocks
+    text = "\n".join(" ".join(sorted(block)) for block in part.blocks)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestFullPipelineOnHandshake:
