@@ -13,7 +13,14 @@ sets.  Its transitions fall into four classes:
 * output    -- an output label fires alone, allowed only if its action is in
                the provided set P.
 
-Composite states serialize as tuple tokens ``(q1,q2,...)``.
+One explorer builds every composite.  It numbers each component's sorted
+states, codes a product state as one integer and runs a worklist from a seed
+set of product states, recording distinct ``(source, label id, target)``
+triples (``core.Indexed``).  ``compose`` seeds it with every product state;
+``reachable_composite`` and the experiment pipeline seed it with the initial
+states, which gives ``reachable(compose(...))`` without building the
+unreachable part.  Composite states are named with tuple tokens
+``(q1,q2,...)`` only when an ``Automaton`` is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .core import Automaton, Hierarchy, Label, LabelKind, Transition, reachable
+from .core import Automaton, Hierarchy, Indexed, Label, LabelKind, Transition
 from .errors import ValidationError
 from .refine import partition_refine, quotient
 
@@ -70,87 +77,159 @@ def resolve_io(policy: str | IoSets, components: Iterable[Automaton]) -> IoSets:
     raise ValueError(f"unknown io policy {policy!r}")
 
 
-def _state_token(parts: Sequence[str]) -> str:
-    return "(" + ",".join(parts) + ")"
+class _Product:
+    """Move tables of each component over its sorted local state indices.
+
+    A product state is coded as one integer, ``sum(local_i * stride_i)``
+    with the last component varying fastest, so codes ``0 .. size-1`` run
+    in the order of the Cartesian product of the sorted state lists and a
+    move of component ``i`` from ``s`` to ``t`` adds ``(t - s) * stride_i``.
+    """
+
+    def __init__(self, components: Sequence[Automaton], io: IoSets):
+        if len(components) < 2:
+            raise ValidationError("composition needs at least 2 components")
+        taken: set[str] = set()
+        for automaton in components:
+            clash = taken & automaton.hierarchy.leaf_names()
+            if clash:
+                raise ValidationError(f"component hierarchies overlap on {sorted(clash)!r}")
+            taken |= automaton.hierarchy.leaf_names()
+        self.actions = frozenset().union(*(a.actions for a in components))
+        stray = (io.provided | io.required) - self.actions
+        if stray:
+            raise ValidationError(f"io sets mention unknown actions {sorted(stray)!r}")
+
+        self.components = components
+        self.names = [a.sorted_states() for a in components]
+        self.strides = [1] * len(components)
+        for i in range(len(components) - 2, -1, -1):
+            self.strides[i] = self.strides[i + 1] * len(self.names[i + 1])
+        self.size = self.strides[0] * len(self.names[0])
+        self.labels: list[Label] = []
+        self._label_id: dict[tuple, int] = {}
+        # per component and local state: solo moves as (label id, code delta),
+        # and per action the halves of a sync move as (annotation, code delta)
+        self.solo, self.sends, self.receives = [], [], []
+        for automaton, names, stride in zip(components, self.names, self.strides):
+            index = {state: i for i, state in enumerate(names)}
+            solo: list[list[tuple[int, int]]] = [[] for _ in names]
+            sends: list[dict[str, list]] = [{} for _ in names]
+            receives: list[dict[str, list]] = [{} for _ in names]
+            for trans in automaton.transitions:
+                label = trans.label
+                src = index[trans.source]
+                delta = (index[trans.target] - src) * stride
+                kind = label.kind
+                if kind is LabelKind.OUTPUT:
+                    sends[src].setdefault(label.action, []).append((label.src, delta))
+                    if label.action not in io.provided:
+                        continue
+                elif kind is LabelKind.INPUT:
+                    receives[src].setdefault(label.action, []).append((label.dst, delta))
+                    if label.action not in io.required:
+                        continue
+                solo[src].append((self._intern(label.src, label.action, label.dst, label), delta))
+            self.solo.append(solo)
+            self.sends.append(sends)
+            self.receives.append(receives)
+
+    def _intern(
+        self, src: str | None, action: str, dst: str | None, label: Label | None = None
+    ) -> int:
+        key = (src, action, dst)
+        lid = self._label_id.get(key)
+        if lid is None:
+            lid = self._label_id[key] = len(self.labels)
+            self.labels.append(Label(src, action, dst) if label is None else label)
+        return lid
+
+    def initial_codes(self) -> list[int]:
+        local = [
+            [names.index(state) * stride for state in sorted(a.initial)]
+            for a, names, stride in zip(self.components, self.names, self.strides)
+        ]
+        return [sum(parts) for parts in product(*local)]
+
+    def token(self, code: int) -> str:
+        parts = (
+            names[code // stride % len(names)] for names, stride in zip(self.names, self.strides)
+        )
+        return "(" + ",".join(parts) + ")"
+
+    def explore(self, seeds: Iterable[int]) -> tuple[Indexed, list[int]]:
+        """Every product state reachable from ``seeds``, numbered in discovery
+        order; returns the indexed form and the code of each state."""
+        index: dict[int, int] = {}
+        codes: list[int] = []
+        for code in seeds:
+            if code not in index:
+                index[code] = len(codes)
+                codes.append(code)
+        triples: set[tuple[int, int, int]] = set()
+        add = triples.add
+        locate = list(zip(self.strides, [len(names) for names in self.names]))
+        solo, sends, receives = self.solo, self.sends, self.receives
+        pos = 0
+        while pos < len(codes):
+            code = codes[pos]
+            local = [code // stride % size for stride, size in locate]
+            moves = [move for i, s in enumerate(local) for move in solo[i][s]]
+            for i1, s1 in enumerate(local):
+                outputs = sends[i1][s1]
+                if not outputs:
+                    continue
+                for i2, s2 in enumerate(local):
+                    inputs = receives[i2][s2]
+                    if i2 == i1 or not inputs:
+                        continue
+                    for action, outs in outputs.items():
+                        for dst_name, in_delta in inputs.get(action, ()):
+                            for src_name, out_delta in outs:
+                                lid = self._intern(src_name, action, dst_name)
+                                moves.append((lid, out_delta + in_delta))
+            for lid, delta in moves:
+                target = code + delta
+                dst = index.get(target)
+                if dst is None:
+                    dst = index[target] = len(codes)
+                    codes.append(target)
+                add((pos, lid, dst))
+            pos += 1
+        return Indexed(len(codes), self.labels, triples), codes
+
+    def automaton(self, indexed: Indexed, codes: list[int]) -> Automaton:
+        """Name the explored states with tuple tokens ``(q1,q2,...)``."""
+        tokens = [self.token(code) for code in codes]
+        labels = indexed.labels
+        return Automaton(
+            name="".join(a.name for a in self.components),
+            states=frozenset(tokens),
+            actions=self.actions,
+            transitions=frozenset(
+                Transition(tokens[s], labels[lid], tokens[d]) for s, lid, d in indexed.triples
+            ),
+            initial=frozenset(self.token(code) for code in self.initial_codes()),
+            hierarchy=Hierarchy.node(*(a.hierarchy for a in self.components)),
+        )
 
 
 def compose(components: Sequence[Automaton], io: IoSets) -> Automaton:
     """N-ary product composition under the four transition classes."""
-    if len(components) < 2:
-        raise ValidationError("composition needs at least 2 components")
-    taken: set[str] = set()
-    for automaton in components:
-        clash = taken & automaton.hierarchy.leaf_names()
-        if clash:
-            raise ValidationError(f"component hierarchies overlap on {sorted(clash)!r}")
-        taken |= automaton.hierarchy.leaf_names()
-    all_actions = frozenset().union(*(a.actions for a in components))
-    stray = (io.provided | io.required) - all_actions
-    if stray:
-        raise ValidationError(f"io sets mention unknown actions {sorted(stray)!r}")
+    prod = _Product(components, io)
+    return prod.automaton(*prod.explore(range(prod.size)))
 
-    k = len(components)
-    state_lists = [a.sorted_states() for a in components]
-    transitions: set[Transition] = set()
 
-    def others_product(skip: tuple[int, ...]):
-        return product(*(state_lists[j] if j not in skip else [None] for j in range(k)))
+def reachable_composite(components: Sequence[Automaton], io: IoSets) -> Automaton:
+    """``reachable(compose(components, io))``, exploring only reachable states."""
+    prod = _Product(components, io)
+    return prod.automaton(*prod.explore(prod.initial_codes()))
 
-    def fill(frame, moves: dict[int, tuple[str, str]]) -> tuple[str, str]:
-        src, dst = [], []
-        for j in range(k):
-            if j in moves:
-                src.append(moves[j][0])
-                dst.append(moves[j][1])
-            else:
-                src.append(frame[j])
-                dst.append(frame[j])
-        return _state_token(src), _state_token(dst)
 
-    for i, automaton in enumerate(components):
-        for trans in automaton.transitions:
-            kind = trans.label.kind
-            if kind is LabelKind.INPUT and trans.label.action not in io.required:
-                continue
-            if kind is LabelKind.OUTPUT and trans.label.action not in io.provided:
-                continue
-            # old sync (internal) and gated solo input/output all move one component
-            for frame in others_product((i,)):
-                src, dst = fill(frame, {i: (trans.source, trans.target)})
-                transitions.add(Transition(src, trans.label, dst))
-
-    for i1, out_comp in enumerate(components):
-        outputs = [t for t in out_comp.transitions if t.label.kind is LabelKind.OUTPUT]
-        if not outputs:
-            continue
-        for i2, in_comp in enumerate(components):
-            if i1 == i2:
-                continue
-            inputs = [t for t in in_comp.transitions if t.label.kind is LabelKind.INPUT]
-            for t_out in outputs:
-                for t_in in inputs:
-                    if t_out.label.action != t_in.label.action:
-                        continue
-                    label = Label(t_out.label.src, t_out.label.action, t_in.label.dst)
-                    for frame in others_product((i1, i2)):
-                        src, dst = fill(
-                            frame,
-                            {i1: (t_out.source, t_out.target), i2: (t_in.source, t_in.target)},
-                        )
-                        transitions.add(Transition(src, label, dst))
-
-    states = frozenset(_state_token(parts) for parts in product(*state_lists))
-    initial = frozenset(
-        _state_token(parts) for parts in product(*(sorted(a.initial) for a in components))
-    )
-    return Automaton(
-        name="".join(a.name for a in components),
-        states=states,
-        actions=all_actions,
-        transitions=frozenset(transitions),
-        initial=initial,
-        hierarchy=Hierarchy.node(*(a.hierarchy for a in components)),
-    )
+def reachable_product(components: Sequence[Automaton], io: IoSets) -> Indexed:
+    """The reachable composite as an indexed form; no state is named."""
+    prod = _Product(components, io)
+    return prod.explore(prod.initial_codes())[0]
 
 
 def compose_pairwise_reduce(
@@ -170,7 +249,7 @@ def compose_pairwise_reduce(
         raise ValidationError("composition needs at least 2 components")
     acc = components[0]
     for nxt in components[1:]:
-        composite = reachable(compose([acc, nxt], io))
+        composite = reachable_composite([acc, nxt], io)
         partition = partition_refine(composite, timeout, strict_internal=strict_internal)
         acc = quotient(composite, partition)
     return acc

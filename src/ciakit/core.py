@@ -126,24 +126,25 @@ class Hierarchy:
         object.__setattr__(self, "children", tuple(self.children))
         if bool(self.names) == bool(self.children):
             raise ValidationError("hierarchy must hold either names or subtrees (and at least one)")
+        seen: set[str] = set()
         if self.names:
-            seen: set[str] = set()
             for name in self.names:
                 _check_word(name, "component name")
                 if name in seen:
                     raise ValidationError(f"duplicate component name {name!r} in hierarchy leaf")
                 seen.add(name)
         else:
-            taken: set[str] = set()
             for child in self.children:
                 if not isinstance(child, Hierarchy):
                     raise ValidationError("hierarchy children must be hierarchies")
-                clash = taken & child.leaf_names()
+                clash = seen & child.leaf_names()
                 if clash:
                     raise ValidationError(
                         f"hierarchy leaf sets not disjoint: {sorted(clash)!r} occurs in two subtrees"
                     )
-                taken |= child.leaf_names()
+                seen |= child.leaf_names()
+        # computed once; not a field, so equality, hash and repr ignore it
+        object.__setattr__(self, "_leaf_names", frozenset(seen))
 
     @classmethod
     def leaf(cls, *names: str) -> "Hierarchy":
@@ -158,12 +159,7 @@ class Hierarchy:
         return bool(self.names)
 
     def leaf_names(self) -> frozenset[str]:
-        if self.names:
-            return frozenset(self.names)
-        out: set[str] = set()
-        for child in self.children:
-            out |= child.leaf_names()
-        return frozenset(out)
+        return self._leaf_names
 
     def render(self) -> str:
         if self.is_leaf:
@@ -256,6 +252,37 @@ class Automaton:
 
     def sorted_transitions(self) -> list[Transition]:
         return sorted(self.transitions, key=Transition.sort_key)
+
+
+class Indexed(NamedTuple):
+    """An automaton's transition graph over integer state numbers.
+
+    States are ``0 .. n-1``, ``labels`` is the label table, and ``triples``
+    holds the distinct transitions as ``(source, label id, target)``.
+    Composition, metrics, refinement and quotient all work on this form;
+    state names are made or read only where an ``Automaton`` is built or
+    taken apart.
+    """
+
+    n: int
+    labels: list[Label]
+    triples: set[tuple[int, int, int]]
+
+    @classmethod
+    def of(cls, automaton: Automaton) -> tuple["Indexed", list[str]]:
+        """Index an automaton's sorted states; returns the form and the state names."""
+        states = automaton.sorted_states()
+        index = {state: i for i, state in enumerate(states)}
+        label_id: dict[Label, int] = {}
+        triples = {
+            (index[t.source], label_id.setdefault(t.label, len(label_id)), index[t.target])
+            for t in automaton.transitions
+        }
+        return cls(len(states), list(label_id), triples), states
+
+    def internal(self) -> list[bool]:
+        """Per label id: whether the label is internal (silent)."""
+        return [label.kind is LabelKind.INTERNAL for label in self.labels]
 
 
 def reachable(automaton: Automaton) -> Automaton:

@@ -1,14 +1,25 @@
 """Compose-then-refine experiment pipeline over a corpus of automaton pairs.
 
 Each ``.cia`` file in a corpus holds one pair (two automaton blocks).  Per
-pair the pipeline runs: compose -> reachability pruning -> structural metrics
--> timed partition refinement -> quotient -> one CSV row.  Row order follows
-sorted file names regardless of worker count.  Refinement is considered a
-success when it merged at least one pair of states.  A pair whose file is
-malformed or whose pipeline raises becomes a ``status=error`` row, and the
-run goes on.
+pair the pipeline runs, on one integer-indexed form (``core.Indexed``):
 
-Timing: ``elapsed_ms`` is the wall-clock refinement time by default.  With
+1. parse and validate both components, and resolve the io policy;
+2. explore the product from its initial states (composition and
+   reachability pruning in one pass; no composite state is named);
+3. structural metrics of that reachable composite;
+4. timed refinement of the indexed form (``refine.refine_indexed``);
+5. count the quotient's states and surviving internal transitions
+   (``refine.quotient_triples``, the rule ``quotient`` uses);
+6. one CSV row.
+
+Row order follows sorted file names regardless of worker count.  Refinement
+is considered a success when it merged at least one pair of states.  A pair
+whose file is malformed or whose pipeline raises becomes a ``status=error``
+row, and the run goes on.
+
+Timing: ``elapsed_ms`` is the wall-clock time of refining the indexed form
+by default; composing, indexing and the quotient are not in it, so it reads
+lower than timing the public ``partition_refine`` would.  With
 ``deterministic_timing`` it records the refinement work counter instead
 (``RefineStats.work_units()``: saturated label rows plus node signatures
 computed), which makes repeated runs byte-identical; the wall clock still
@@ -25,12 +36,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .compose import IoSets, compose, resolve_io
-from .core import Automaton, reachable
+from .compose import IoSets, reachable_product, resolve_io
+from .core import Automaton
 from .errors import CiaError, RefinementTimeout
 from .fmt import parse_automata
-from .metrics import metrics_record
-from .refine import RefineStats, partition_refine, quotient
+from .metrics import MetricsRecord, indexed_record
+from .refine import RefineStats, quotient_triples, refine_indexed
 
 __all__ = [
     "ExperimentRow",
@@ -131,82 +142,62 @@ def run_pair(
 ) -> ExperimentRow:
     """Full pipeline on one pair of automata."""
     io_sets = resolve_io(io_policy, [first, second])
-    composite = reachable(compose([first, second], io_sets))
-    pre = metrics_record(composite)
+    composite = reachable_product([first, second], io_sets)
+    pre = indexed_record(composite)
     stats = RefineStats()
     try:
-        partition = partition_refine(
-            composite, timeout, strict_internal=strict_internal, stats=stats
-        )
-    except RefinementTimeout as exc:
-        elapsed = stats.work_units() if deterministic_timing else int(exc.elapsed * 1000)
-        return ExperimentRow(
-            pair_id=pair_id,
-            states_a=len(first.states),
-            states_b=len(second.states),
-            states=pre.states,
-            transitions=pre.transitions,
-            internal=pre.internal_transitions,
-            beta=pre.beta,
-            gini_in=pre.gini_in,
-            gini_out=pre.gini_out,
-            refined_states=pre.states,
-            success=0,
-            reduction_ratio=0.0,
-            internal_removed_ratio=0.0,
-            elapsed_ms=elapsed,
-            over_5min=1 if elapsed > OVER_MS else 0,
-            timed_out=1,
-            status="timeout",
-        )
-    reduced = quotient(composite, partition)
-    post = metrics_record(reduced)
+        block, refined = refine_indexed(composite, timeout, strict_internal, stats)
+        internal = composite.internal()
+        left = sum(internal[lid] for _, lid, _ in quotient_triples(composite, block))
+        status = "ok"
+    except RefinementTimeout:
+        status, refined, left = "timeout", None, 0
     elapsed = stats.work_units() if deterministic_timing else int(stats.elapsed_s * 1000)
-    removed = (
-        1.0 - post.internal_transitions / pre.internal_transitions
-        if pre.internal_transitions
-        else 0.0
-    )
+    sizes = (len(first.states), len(second.states))
+    return _row(pair_id, status, sizes, pre, refined, left, elapsed)
+
+
+_NO_METRICS = MetricsRecord(0, 0, 0, None, None, None)
+
+
+def _row(
+    pair_id: str,
+    status: str,
+    sizes: tuple[int, int] = (0, 0),
+    pre: MetricsRecord = _NO_METRICS,
+    refined: int | None = None,
+    internal_left: int = 0,
+    elapsed: int = 0,
+) -> ExperimentRow:
+    """A row from the pruned composite's metrics and the refinement outcome.
+
+    ``refined`` is the quotient's state count and ``internal_left`` its
+    internal transitions; without a quotient (timeout, error) the row reads
+    as no reduction.
+    """
+    removed = 0.0
+    if refined is None:
+        refined = pre.states
+    elif pre.internal_transitions:
+        removed = 1.0 - internal_left / pre.internal_transitions
     return ExperimentRow(
         pair_id=pair_id,
-        states_a=len(first.states),
-        states_b=len(second.states),
+        states_a=sizes[0],
+        states_b=sizes[1],
         states=pre.states,
         transitions=pre.transitions,
         internal=pre.internal_transitions,
         beta=pre.beta,
         gini_in=pre.gini_in,
         gini_out=pre.gini_out,
-        refined_states=post.states,
-        success=1 if post.states < pre.states else 0,
-        reduction_ratio=1.0 - post.states / pre.states,
+        refined_states=refined,
+        success=1 if refined < pre.states else 0,
+        reduction_ratio=1.0 - refined / pre.states if pre.states else 0.0,
         internal_removed_ratio=removed,
         elapsed_ms=elapsed,
         over_5min=1 if elapsed > OVER_MS else 0,
-        timed_out=0,
-        status="ok",
-    )
-
-
-def _error_row(pair_id: str) -> ExperimentRow:
-    return ExperimentRow(
-        pair_id=pair_id,
-        states_a=0,
-        states_b=0,
-        states=0,
-        transitions=0,
-        internal=0,
-        beta=None,
-        gini_in=None,
-        gini_out=None,
-        refined_states=0,
-        success=0,
-        reduction_ratio=0.0,
-        internal_removed_ratio=0.0,
-        elapsed_ms=0,
-        over_5min=0,
-        timed_out=0,
-        status="error",
+        timed_out=1 if status == "timeout" else 0,
+        status=status,
     )
 
 
@@ -221,10 +212,10 @@ def _run_file(args) -> ExperimentRow:
             deterministic_timing, strict_internal,
         )
     except CiaError:
-        return _error_row(pair_id)
+        return _row(pair_id, "error")
     except Exception:  # a bug hit by one pair must not end the whole run
         _log.exception("pair %s failed", pair_id)
-        return _error_row(pair_id)
+        return _row(pair_id, "error")
 
 
 def run_experiment(

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Automaton, LabelKind
+from .core import Automaton, Indexed
 
 __all__ = ["MetricsRecord", "beta", "gini", "gini_in", "gini_out", "metrics_record"]
 
@@ -27,8 +27,10 @@ def beta(automaton: Automaton) -> float | None:
     ``ln(|Q|-1)/ln(|Q|)`` (spanning-tree sparse) up to 2 (complete, |Q|^2
     transitions).
     """
-    n = len(automaton.states)
-    m = len(automaton.transitions)
+    return _beta(len(automaton.states), len(automaton.transitions))
+
+
+def _beta(n: int, m: int) -> float | None:
     if n <= 1 or m == 0:
         return None
     return math.log(m) / math.log(n)
@@ -52,21 +54,24 @@ def gini(values: Sequence[float]) -> float | None:
     return acc / (n * total)
 
 
-def _degrees(automaton: Automaton, incoming: bool) -> list[int]:
-    deg = {state: 0 for state in automaton.states}
-    for trans in automaton.transitions:
-        deg[trans.target if incoming else trans.source] += 1
-    return [deg[state] for state in automaton.sorted_states()]
+def _degrees(indexed: Indexed) -> tuple[list[int], list[int]]:
+    """In- and out-degree of every state."""
+    deg_in = [0] * indexed.n
+    deg_out = [0] * indexed.n
+    for src, _, dst in indexed.triples:
+        deg_out[src] += 1
+        deg_in[dst] += 1
+    return deg_in, deg_out
 
 
 def gini_in(automaton: Automaton) -> float | None:
     """Gini coefficient of the per-state in-degree sequence."""
-    return gini(_degrees(automaton, incoming=True))
+    return gini(_degrees(Indexed.of(automaton)[0])[0])
 
 
 def gini_out(automaton: Automaton) -> float | None:
     """Gini coefficient of the per-state out-degree sequence."""
-    return gini(_degrees(automaton, incoming=False))
+    return gini(_degrees(Indexed.of(automaton)[0])[1])
 
 
 @dataclass(frozen=True)
@@ -81,14 +86,18 @@ class MetricsRecord:
 
 def metrics_record(automaton: Automaton) -> MetricsRecord:
     """All structural metrics of one automaton in a single record."""
-    internal = sum(
-        1 for t in automaton.transitions if t.label.kind is LabelKind.INTERNAL
-    )
+    return indexed_record(Indexed.of(automaton)[0])
+
+
+def indexed_record(indexed: Indexed) -> MetricsRecord:
+    """``metrics_record`` of an indexed automaton."""
+    internal = indexed.internal()
+    deg_in, deg_out = _degrees(indexed)
     return MetricsRecord(
-        states=len(automaton.states),
-        transitions=len(automaton.transitions),
-        internal_transitions=internal,
-        beta=beta(automaton),
-        gini_in=gini_in(automaton),
-        gini_out=gini_out(automaton),
+        states=indexed.n,
+        transitions=len(indexed.triples),
+        internal_transitions=sum(internal[lid] for _, lid, _ in indexed.triples),
+        beta=_beta(indexed.n, len(indexed.triples)),
+        gini_in=gini(deg_in),
+        gini_out=gini(deg_out),
     )

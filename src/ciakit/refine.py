@@ -9,7 +9,9 @@ so a silent move never has to reproduce the specific internal label; the
 (closure-label-closure, like a visible one).
 
 Weak bisimulation is strong bisimulation on this silently saturated
-relation, and ``partition_refine`` computes it in three steps:
+relation.  ``refine_indexed`` computes it on an indexed automaton
+(``core.Indexed``) in three steps; ``partition_refine`` is its adapter for
+an ``Automaton`` (index the sorted states, name the blocks):
 
 1. Condense the silent graph into its strongly connected components
    (Tarjan).  States of one silent SCC have equal closures, hence equal
@@ -35,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Automaton, Label, LabelKind, Transition
+from .core import Automaton, Indexed, Label, LabelKind, Transition
 from .errors import OracleLimitError, RefinementTimeout, ValidationError
 
 __all__ = [
@@ -89,7 +91,8 @@ class RefineStats:
 
     ``sweeps`` counts signature rounds, ``refine_steps`` the saturated label
     rows computed, and ``splitter_evals`` the node signatures computed (SCC
-    nodes times rounds).  ``elapsed_s`` is the wall-clock time spent.
+    nodes times rounds).  ``elapsed_s`` is the wall-clock time spent in
+    ``refine_indexed``.
     """
 
     sweeps: int = 0
@@ -163,17 +166,18 @@ def _propagate(rows: list[int], dag: list[set[int]]) -> list[int]:
     return rows
 
 
-def partition_refine(
-    automaton: Automaton,
+def refine_indexed(
+    indexed: Indexed,
     timeout: float | None = None,
     strict_internal: bool = False,
     stats: RefineStats | None = None,
-) -> Partition:
-    """Coarsest partition of the state set stable under all weak splitters.
+) -> tuple[list[int], int]:
+    """Weak-bisimulation classes of an indexed automaton.
 
-    ``timeout`` (seconds) is checked after SCC condensation, after each
-    label's saturation and once per signature round; on expiry the partial
-    partition is discarded and RefinementTimeout raised.
+    Returns a block id per state (ids ``0 .. count-1``, in no canonical
+    order) and the block count.  ``timeout`` (seconds) is checked after SCC
+    condensation, after each label's saturation and once per signature
+    round; on expiry RefinementTimeout is raised.
     """
     started = time.monotonic()
     if stats is None:
@@ -185,17 +189,16 @@ def partition_refine(
             stats.elapsed_s = elapsed
             raise RefinementTimeout(elapsed, timeout)
 
-    states = sorted(automaton.states)
-    index = {state: i for i, state in enumerate(states)}
-    silent: list[list[int]] = [[] for _ in states]
-    by_label: dict[Label, list[tuple[int, int]]] = {}
-    for trans in automaton.transitions:
-        src, dst = index[trans.source], index[trans.target]
-        if trans.label.kind is LabelKind.INTERNAL:
+    n, labels, triples = indexed
+    internal = indexed.internal()
+    silent: list[list[int]] = [[] for _ in range(n)]
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for src, lid, dst in triples:
+        if internal[lid]:
             silent[src].append(dst)
             if not strict_internal:
                 continue  # every internal label shares the closure row
-        by_label.setdefault(trans.label, []).append((src, dst))
+        by_label.setdefault(lid, []).append((src, dst))
 
     comp, k = _silent_sccs(silent)
     dag: list[set[int]] = [set() for _ in range(k)]
@@ -207,9 +210,9 @@ def partition_refine(
 
     closure = _propagate([1 << c for c in range(k)], dag)
     label_rows: list[list[int]] = [] if strict_internal else [closure]
-    for label in sorted(by_label, key=Label.sort_key):
+    for lid in sorted(by_label, key=lambda lid: labels[lid].sort_key()):
         step = [0] * k
-        for src, dst in by_label[label]:
+        for src, dst in by_label[lid]:
             step[comp[src]] |= closure[comp[dst]]
         label_rows.append(_propagate(step, dag))
         check_budget()
@@ -238,36 +241,62 @@ def partition_refine(
         block, count = refined, len(ids)
 
     stats.elapsed_s = time.monotonic() - started
+    return [block[c] for c in comp], count
+
+
+def partition_refine(
+    automaton: Automaton,
+    timeout: float | None = None,
+    strict_internal: bool = False,
+    stats: RefineStats | None = None,
+) -> Partition:
+    """Coarsest partition of the state set stable under all weak splitters.
+
+    Runs ``refine_indexed`` on the automaton's indexed form; on timeout the
+    partial partition is discarded and RefinementTimeout raised.
+    """
+    indexed, states = Indexed.of(automaton)
+    block, count = refine_indexed(indexed, timeout, strict_internal, stats)
     members: list[list[str]] = [[] for _ in range(count)]
-    for i, state in enumerate(states):
-        members[block[comp[i]]].append(state)
+    for state, b in zip(states, block):
+        members[b].append(state)
     return Partition.from_blocks(frozenset(group) for group in members)
+
+
+def quotient_triples(indexed: Indexed, block: list[int]) -> set[tuple[int, int, int]]:
+    """The quotient's transitions as distinct ``(block, label id, block)`` triples.
+
+    An internal transition survives exactly when it crosses two distinct
+    blocks; every other transition survives.
+    """
+    internal = indexed.internal()
+    return {
+        (block[src], lid, block[dst])
+        for src, lid, dst in indexed.triples
+        if not internal[lid] or block[src] != block[dst]
+    }
 
 
 def quotient(automaton: Automaton, partition: Partition) -> Automaton:
     """Collapse each block to one state, dropping silent self-loops.
 
-    Block states are renamed ``r0, r1, ...`` in canonical block order; an
-    internal transition survives exactly when it crosses two distinct blocks.
-    The hierarchy is preserved, so the quotient stays comparable with the
-    original.  Dropping the loops is exact only in the default semantics; a
-    dropped loop may carry an internal label that ``strict_internal`` needs.
+    Block states are renamed ``r0, r1, ...`` in canonical block order and
+    the transitions are those of ``quotient_triples``.  The hierarchy is
+    preserved, so the quotient stays comparable with the original.
+    Dropping the loops is exact only in the default semantics; a dropped
+    loop may carry an internal label that ``strict_internal`` needs.
     """
-    blocks = partition.blocks
-    name_of: dict[frozenset[str], str] = {block: f"r{i}" for i, block in enumerate(blocks)}
-    owner = {state: name_of[block] for block in blocks for state in block}
-    transitions: set[Transition] = set()
-    for trans in automaton.transitions:
-        src, dst = owner[trans.source], owner[trans.target]
-        if src == dst and trans.label.kind is LabelKind.INTERNAL:
-            continue
-        transitions.add(Transition(src, trans.label, dst))
+    position = {state: i for i, block in enumerate(partition.blocks) for state in block}
+    indexed, states = Indexed.of(automaton)
+    names = [f"r{i}" for i in range(len(partition.blocks))]
+    labels = indexed.labels
+    triples = quotient_triples(indexed, [position[state] for state in states])
     return Automaton(
         name=automaton.name,
-        states=frozenset(name_of.values()),
+        states=frozenset(names),
         actions=automaton.actions,
-        transitions=frozenset(transitions),
-        initial=frozenset(owner[state] for state in automaton.initial),
+        transitions=frozenset(Transition(names[s], labels[lid], names[d]) for s, lid, d in triples),
+        initial=frozenset(names[position[state]] for state in automaton.initial),
         hierarchy=automaton.hierarchy,
     )
 

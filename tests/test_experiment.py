@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from ciakit import (
     CiaError,
     GenParams,
     IoSets,
+    RefineStats,
     compose,
     generate_corpus,
     metrics_record,
@@ -15,6 +18,7 @@ from ciakit import (
     serialize_automaton,
     write_corpus,
 )
+from ciakit.compose import resolve_io
 from ciakit.experiment import (
     CSV_COLUMNS,
     ExperimentRow,
@@ -23,6 +27,12 @@ from ciakit.experiment import (
     rows_to_csv,
 )
 from conftest import handshake_pair
+
+# small seeded pairs with internal labels and synchronization cliques
+MANUAL_PAIRS = generate_corpus(
+    GenParams(state_count_range=(3, 8), kind_mix=(0.35, 0.35, 0.3), clique_bias=0.4, seed=4),
+    24,
+)
 
 
 class TestRunPair:
@@ -50,24 +60,50 @@ class TestRunPair:
         assert 0.0 <= row.reduction_ratio <= 1.0
         assert row.success == (1 if row.refined_states < row.states else 0)
 
-    def test_matches_manual_pipeline(self):
-        first, second = generate_corpus(GenParams(state_count_range=(3, 7), seed=4), 1)[0]
-        row = run_pair("m", first, second, io_policy="open")
-        composite = reachable(
-            compose([first, second], __import__("ciakit").default_io_sets([first, second]))
-        )
-        pre = metrics_record(composite)
-        reduced = quotient(composite, partition_refine(composite))
-        post = metrics_record(reduced)
-        assert row.states == pre.states
-        assert row.transitions == pre.transitions
-        assert row.internal == pre.internal_transitions
-        assert row.beta == pre.beta
-        assert row.gini_in == pre.gini_in
-        assert row.gini_out == pre.gini_out
-        assert row.refined_states == post.states
-        assert row.success == (1 if post.states < pre.states else 0)
-        assert row.reduction_ratio == pytest.approx(1 - post.states / pre.states)
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+    @pytest.mark.parametrize("io_policy", ["open", "closed"])
+    def test_matches_manual_pipeline(self, io_policy, strict):
+        rows = []
+        for i, (first, second) in enumerate(MANUAL_PAIRS):
+            io_sets = resolve_io(io_policy, [first, second])
+            composite = reachable(compose([first, second], io_sets))
+            pre = metrics_record(composite)
+            stats = RefineStats()
+            partition = partition_refine(composite, strict_internal=strict, stats=stats)
+            post = metrics_record(quotient(composite, partition))
+            expected = ExperimentRow(
+                pair_id=f"m{i}",
+                states_a=len(first.states),
+                states_b=len(second.states),
+                states=pre.states,
+                transitions=pre.transitions,
+                internal=pre.internal_transitions,
+                beta=pre.beta,
+                gini_in=pre.gini_in,
+                gini_out=pre.gini_out,
+                refined_states=post.states,
+                success=1 if post.states < pre.states else 0,
+                reduction_ratio=1.0 - post.states / pre.states,
+                internal_removed_ratio=(
+                    1.0 - post.internal_transitions / pre.internal_transitions
+                    if pre.internal_transitions
+                    else 0.0
+                ),
+                elapsed_ms=stats.work_units(),
+                over_5min=0,
+                timed_out=0,
+            )
+            row = run_pair(
+                f"m{i}", first, second, io_policy,
+                deterministic_timing=True, strict_internal=strict,
+            )
+            assert row == expected, f"pair {i}"
+            wall = run_pair(f"m{i}", first, second, io_policy, strict_internal=strict)
+            assert replace(wall, elapsed_ms=row.elapsed_ms, over_5min=0) == expected
+            rows.append(row)
+        # the corpus exercises merges and removed internal synchronizations
+        assert any(row.success for row in rows)
+        assert any(row.internal_removed_ratio > 0.0 for row in rows)
 
     def test_timeout_row(self):
         pairs = generate_corpus(GenParams(state_count_range=(10, 12), seed=6), 1)

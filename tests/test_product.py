@@ -1,0 +1,44 @@
+"""The product explorer: complete from every state, and seeded with the
+initial states it gives reachable(compose)."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ciakit import Automaton, Hierarchy, IoSets, Label, compose, default_io_sets, reachable
+from ciakit.compose import reachable_composite, reachable_product
+from ciakit.metrics import indexed_record, metrics_record
+from oracles import compose_oracle
+
+ACTIONS = ("a", "b")
+
+
+@st.composite
+def component(draw, index):
+    """A small component on two instance names, with shared action names so
+    components synchronize."""
+    names = (f"C{index}", f"D{index}")
+    states = [f"s{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    labels = [Label(None, act, name) for act in ACTIONS for name in names]
+    labels += [Label(name, act, None) for act in ACTIONS for name in names]
+    labels += [Label(n1, act, n2) for act in ACTIONS for n1 in names for n2 in names]
+    trans = draw(st.lists(
+        st.tuples(st.sampled_from(states), st.sampled_from(labels), st.sampled_from(states)),
+        max_size=8,
+    ))
+    init = draw(st.lists(st.sampled_from(states), min_size=1, max_size=2, unique=True))
+    return Automaton.make(f"X{index}", states, trans, init, Hierarchy.leaf(*names))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data(), closed=st.booleans())
+def test_exploring_from_initial_states_equals_reachable_compose(k, data, closed):
+    components = [data.draw(component(i)) for i in range(k)]
+    io = IoSets.closed() if closed else default_io_sets(components)
+    composite = compose(components, io)
+    assert composite.transitions == compose_oracle(components, io)
+    expected = reachable(composite)
+    assert reachable(expected) == expected
+    assert reachable_composite(components, io) == expected
+    assert indexed_record(reachable_product(components, io)) == metrics_record(expected)
