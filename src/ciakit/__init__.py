@@ -12,7 +12,6 @@ from .core import (
     Label,
     LabelKind,
     Transition,
-    label_kind,
     reachable,
 )
 from .dot import export_dot
@@ -29,11 +28,10 @@ from .fmt import (
     parse_automata,
     parse_automaton,
     parse_hierarchy,
-    serialize_automata,
     serialize_automaton,
 )
 from .generate import GenParams, SplitMix64, generate_corpus, generate_primitive, write_corpus
-from .metrics import MetricsRecord, beta, gini, gini_in, gini_out, metrics_record
+from .metrics import MetricsRecord, gini, metrics_record
 from .refine import (
     Partition,
     RefineStats,

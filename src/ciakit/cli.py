@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: parse, compose, refine, metrics, generate, experiment, regress,
-dot.  Exit codes: 0 success, 1 usage error, 2 data error, 3 experiment run
-dominated by refinement timeouts (at least one timed-out row).
+dot.  Each takes ``--out`` (output file, default stdout; for generate, the
+required corpus directory) and only the shared options its handler reads:
+``--timeout`` (compose, refine, experiment), ``--format csv|json`` (metrics,
+experiment), ``--seed`` (generate) and ``--workers`` (experiment); any other
+is a usage error.  Exit codes: 0 success, 1 usage error, 2 data error, 3
+experiment run dominated by refinement timeouts (at least one timed-out row).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .experiment import (
     rows_from_csv,
     rows_to_csv,
     run_experiment,
+    table_to_csv,
 )
 from .fmt import parse_automata, serialize_automaton
 from .generate import GenParams, generate_corpus, write_corpus
@@ -62,32 +67,13 @@ def _io_policy(args) -> str | IoSets:
     return args.io
 
 
-def _metrics_row(automaton: Automaton) -> dict:
+_METRICS_COLUMNS = ["name", "states", "transitions", "internal", "beta", "gini_in", "gini_out"]
+
+
+def _metrics_row(automaton: Automaton) -> list:
     rec = metrics_record(automaton)
-    return {
-        "name": automaton.name,
-        "states": rec.states,
-        "transitions": rec.transitions,
-        "internal": rec.internal_transitions,
-        "beta": rec.beta,
-        "gini_in": rec.gini_in,
-        "gini_out": rec.gini_out,
-    }
-
-
-def _metrics_csv(rows: list[dict]) -> str:
-    def cell(value):
-        if value is None:
-            return "NA"
-        if isinstance(value, float):
-            return format(value, ".12g")
-        return str(value)
-
-    header = ["name", "states", "transitions", "internal", "beta", "gini_in", "gini_out"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell(row[col]) for col in header))
-    return "\n".join(lines) + "\n"
+    return [automaton.name, rec.states, rec.transitions, rec.internal_transitions,
+            rec.beta, rec.gini_in, rec.gini_out]
 
 
 def _parse_states_range(text: str) -> tuple[int, int]:
@@ -135,9 +121,10 @@ def _cmd_refine(args) -> int:
 def _cmd_metrics(args) -> int:
     rows = [_metrics_row(a) for a in _read_automata(args.files)]
     if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+        records = [dict(zip(_METRICS_COLUMNS, row)) for row in rows]
+        _emit(json.dumps(records, indent=2) + "\n", args.out)
     else:
-        _emit(_metrics_csv(rows), args.out)
+        _emit(table_to_csv(_METRICS_COLUMNS, rows), args.out)
     return 0
 
 
@@ -223,13 +210,17 @@ def _cmd_dot(args) -> int:
     return 0
 
 
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one shared option."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--timeout", type=float, default=7200.0, help="refinement budget, seconds")
-    common.add_argument("--workers", type=int, default=1, help="parallel workers")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", help="output file (default stdout)")
+    out = _option("--out", help="output file (default stdout)")
+    timeout = _option("--timeout", type=float, default=7200.0, help="refinement budget, seconds")
+    fmt = _option("--format", choices=("csv", "json"), default="csv")
 
     io_opts = argparse.ArgumentParser(add_help=False)
     io_opts.add_argument("--io", choices=("open", "closed"), default="open")
@@ -239,28 +230,30 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ciakit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common], help="validate and canonicalize documents")
+    p = sub.add_parser("parse", parents=[out], help="validate and canonicalize documents")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("compose", parents=[common, io_opts], help="product composition")
+    p = sub.add_parser("compose", parents=[out, timeout, io_opts], help="product composition")
     p.add_argument("files", nargs="+")
     p.add_argument("--pairwise", action="store_true", help="fold pairwise, reducing each step")
     p.add_argument("--strict-internal", action="store_true")
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("refine", parents=[common], help="weak-bisimulation reduction")
+    p = sub.add_parser("refine", parents=[out, timeout], help="weak-bisimulation reduction")
     p.add_argument("files", nargs="+")
     p.add_argument("--strict-internal", action="store_true",
                    help="match internal moves by exact label instead of silent closure")
     p.set_defaults(func=_cmd_refine)
 
-    p = sub.add_parser("metrics", parents=[common], help="structural metrics per automaton")
+    p = sub.add_parser("metrics", parents=[out, fmt], help="structural metrics per automaton")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=_cmd_metrics)
 
-    p = sub.add_parser("generate", parents=[common], help="write a seeded corpus of pairs")
+    p = sub.add_parser("generate", help="write a seeded corpus of pairs")
+    p.add_argument("--out", required=True, help="corpus directory")
     p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--beta", type=float, default=1.36, help="target scaling exponent")
     p.add_argument("--states", type=_parse_states_range, default=(4, 24),
                    help="state count range MIN..MAX")
@@ -274,17 +267,18 @@ def _build_parser() -> _Parser:
                    help="route extra edges out of terminal states first")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("experiment", parents=[common, io_opts],
+    p = sub.add_parser("experiment", parents=[out, timeout, fmt, io_opts],
                        help="compose/refine every corpus pair into CSV rows")
     p.add_argument("--corpus", help="directory of pair .cia files")
     p.add_argument("--report", metavar="CSV",
                    help="summarize an existing experiment CSV instead of running")
+    p.add_argument("--workers", type=int, default=1, help="parallel workers")
     p.add_argument("--deterministic-timing", action="store_true",
                    help="record refinement work units instead of wall-clock ms")
     p.add_argument("--strict-internal", action="store_true")
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("regress", parents=[common], help="logistic model over experiment CSV")
+    p = sub.add_parser("regress", parents=[out], help="logistic model over experiment CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--x", required=True, choices=("beta", "states", "gini_in", "gini_out"))
     p.add_argument("--y", required=True, choices=("success", "over5min"))
@@ -293,7 +287,7 @@ def _build_parser() -> _Parser:
                    help="custom elapsed_ms threshold for the over5min response")
     p.set_defaults(func=_cmd_regress)
 
-    p = sub.add_parser("dot", parents=[common], help="Graphviz DOT export")
+    p = sub.add_parser("dot", parents=[out], help="Graphviz DOT export")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=_cmd_dot)
 

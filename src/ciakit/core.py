@@ -30,7 +30,6 @@ __all__ = [
     "Transition",
     "Hierarchy",
     "Automaton",
-    "label_kind",
     "reachable",
 ]
 
@@ -94,11 +93,6 @@ class Label:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def label_kind(label: Label) -> LabelKind:
-    """Classify a label as INPUT (absent source), OUTPUT (absent target) or INTERNAL."""
-    return label.kind
 
 
 class Transition(NamedTuple):

@@ -35,6 +35,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 from .compose import IoSets, reachable_product, resolve_io
 from .core import Automaton
@@ -48,6 +49,7 @@ __all__ = [
     "run_experiment",
     "run_pair",
     "rows_to_csv",
+    "table_to_csv",
     "rows_from_csv",
     "reduction_report",
 ]
@@ -100,13 +102,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[ExperimentRow]) -> str:
+def table_to_csv(columns: list[str], records: Iterable[Iterable]) -> str:
+    """CSV text of a header and one record per row.
+
+    ``None`` reads ``NA``, floats are their exact ``repr``, and a cell is
+    quoted only when it needs to be (a comma or quote in a name).
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, col)) for col in CSV_COLUMNS])
+    writer.writerow(columns)
+    for record in records:
+        writer.writerow([_fmt(value) for value in record])
     return buffer.getvalue()
+
+
+def rows_to_csv(rows: list[ExperimentRow]) -> str:
+    return table_to_csv(CSV_COLUMNS, ([getattr(row, col) for col in CSV_COLUMNS] for row in rows))
 
 
 def rows_from_csv(text: str) -> list[ExperimentRow]:

@@ -29,10 +29,8 @@ __all__ = [
     "parse_automata",
     "parse_hierarchy",
     "serialize_automaton",
-    "serialize_automata",
 ]
 
-_LABEL_RE = re.compile(r"\(([A-Za-z0-9_]+|-),([A-Za-z0-9_]+),([A-Za-z0-9_]+|-)\)\Z")
 _HIER_TOKEN_RE = re.compile(r"\(|\)|[A-Za-z0-9_]+")
 
 
@@ -86,10 +84,11 @@ class _Block:
 
 
 def _parse_label(token: str, line: int, column: int) -> Label:
-    match = _LABEL_RE.match(token)
-    if not match:
+    """Split ``(src,action,dst)`` by shape; ``Label`` validates the words."""
+    parts = token[1:-1].split(",") if token[:1] == "(" and token[-1:] == ")" else ()
+    if len(parts) != 3:
         raise FormatError(f"malformed label {token!r}", line, column)
-    src, action, dst = match.groups()
+    src, action, dst = parts
     try:
         return Label(None if src == "-" else src, action, None if dst == "-" else dst)
     except ValidationError as exc:
@@ -198,7 +197,3 @@ def serialize_automaton(automaton: Automaton) -> str:
         lines.append(f"trans {trans.source} {trans.label.render()} {trans.target}")
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def serialize_automata(automata: list[Automaton]) -> str:
-    return "".join(serialize_automaton(a) for a in automata)

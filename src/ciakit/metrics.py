@@ -1,12 +1,15 @@
 """Structural graph metrics of an automaton.
 
-Two summary metrics of the underlying directed graph drive the analysis: the
-scaling exponent ``beta = ln(|transitions|) / ln(|states|)`` relating graph
-size to edge count, and Gini coefficients of the in-/out-degree sequences
-measuring how unequally transitions concentrate on states.  Degrees count
-every transition, internal ones included.  Metrics that are undefined on a
-degenerate input are reported as ``None`` (serialized ``NA``), never as a
-sentinel number.
+``metrics_record`` is the entry point: one call gives the state, transition
+and internal-transition counts and the three summary metrics of the
+underlying directed graph.  The scaling exponent
+``beta = ln(|transitions|) / ln(|states|)`` relates graph size to edge count;
+for a fixed state count it ranges from ``ln(|Q|-1)/ln(|Q|)`` (spanning-tree
+sparse) up to 2 (complete, |Q|^2 transitions).  The Gini coefficients of the
+in- and out-degree sequences (``gini``) measure how unequally transitions
+concentrate on states.  Degrees count every transition, internal ones
+included.  Metrics that are undefined on a degenerate input are reported as
+``None`` (serialized ``NA``), never as a sentinel number.
 """
 
 from __future__ import annotations
@@ -17,23 +20,7 @@ from typing import Sequence
 
 from .core import Automaton, Indexed
 
-__all__ = ["MetricsRecord", "beta", "gini", "gini_in", "gini_out", "metrics_record"]
-
-
-def beta(automaton: Automaton) -> float | None:
-    """Scaling exponent ln|transitions|/ln|states|; None if either log degenerates.
-
-    For a fixed state count the exponent ranges from
-    ``ln(|Q|-1)/ln(|Q|)`` (spanning-tree sparse) up to 2 (complete, |Q|^2
-    transitions).
-    """
-    return _beta(len(automaton.states), len(automaton.transitions))
-
-
-def _beta(n: int, m: int) -> float | None:
-    if n <= 1 or m == 0:
-        return None
-    return math.log(m) / math.log(n)
+__all__ = ["MetricsRecord", "gini", "metrics_record"]
 
 
 def gini(values: Sequence[float]) -> float | None:
@@ -54,26 +41,6 @@ def gini(values: Sequence[float]) -> float | None:
     return acc / (n * total)
 
 
-def _degrees(indexed: Indexed) -> tuple[list[int], list[int]]:
-    """In- and out-degree of every state."""
-    deg_in = [0] * indexed.n
-    deg_out = [0] * indexed.n
-    for src, _, dst in indexed.triples:
-        deg_out[src] += 1
-        deg_in[dst] += 1
-    return deg_in, deg_out
-
-
-def gini_in(automaton: Automaton) -> float | None:
-    """Gini coefficient of the per-state in-degree sequence."""
-    return gini(_degrees(Indexed.of(automaton)[0])[0])
-
-
-def gini_out(automaton: Automaton) -> float | None:
-    """Gini coefficient of the per-state out-degree sequence."""
-    return gini(_degrees(Indexed.of(automaton)[0])[1])
-
-
 @dataclass(frozen=True)
 class MetricsRecord:
     states: int
@@ -91,13 +58,18 @@ def metrics_record(automaton: Automaton) -> MetricsRecord:
 
 def indexed_record(indexed: Indexed) -> MetricsRecord:
     """``metrics_record`` of an indexed automaton."""
+    n, m = indexed.n, len(indexed.triples)
     internal = indexed.internal()
-    deg_in, deg_out = _degrees(indexed)
+    deg_in = [0] * n
+    deg_out = [0] * n
+    for src, _, dst in indexed.triples:
+        deg_out[src] += 1
+        deg_in[dst] += 1
     return MetricsRecord(
-        states=indexed.n,
-        transitions=len(indexed.triples),
+        states=n,
+        transitions=m,
         internal_transitions=sum(internal[lid] for _, lid, _ in indexed.triples),
-        beta=_beta(indexed.n, len(indexed.triples)),
+        beta=math.log(m) / math.log(n) if n > 1 and m else None,
         gini_in=gini(deg_in),
         gini_out=gini(deg_out),
     )

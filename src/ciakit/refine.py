@@ -81,9 +81,6 @@ class Partition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def block_of(self) -> dict[str, frozenset[str]]:
-        return {state: block for block in self.blocks for state in block}
-
 
 @dataclass
 class RefineStats:

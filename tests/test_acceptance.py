@@ -19,7 +19,6 @@ from ciakit import (
     Label,
     LabelKind,
     SeparationError,
-    beta,
     compose,
     default_io_sets,
     export_dot,
@@ -27,6 +26,7 @@ from ciakit import (
     generate_corpus,
     gini,
     lr_p_value,
+    metrics_record,
     partition_refine,
     quotient,
     reachable,
@@ -147,7 +147,8 @@ def test_criterion_4_metric_exactness():
         for _ in range(1000):
             n = rng.randint(2, 20)
             m = rng.randint(1, n * n)
-            assert beta(full_graph(n, m)) == pytest.approx(beta_oracle(n, m), abs=1e-9)
+            actual = metrics_record(full_graph(n, m)).beta
+            assert actual == pytest.approx(beta_oracle(n, m), abs=1e-9)
         for _ in range(1000):
             size = rng.randint(1, 25)
             values = [rng.randint(0, 40) / 4.0 for _ in range(size)]
@@ -157,7 +158,7 @@ def test_criterion_4_metric_exactness():
                 assert actual is None
             else:
                 assert actual == pytest.approx(float(expected), abs=1e-9)
-        assert beta(full_graph(4, 16)) == 2.0
+        assert metrics_record(full_graph(4, 16)).beta == 2.0
         assert gini([7, 7, 7, 7]) == 0.0
 
 
@@ -274,7 +275,7 @@ def test_criterion_9_internal_transitions_cross_blocks():
         for seed in range(100):
             automaton = random_automaton(seed + 1000, max_states=14)
             partition = partition_refine(automaton)
-            owner = partition.block_of()
+            owner = {state: block for block in partition.blocks for state in block}
             reduced = quotient(automaton, partition)
             for trans in reduced.transitions:
                 if trans.label.kind is LabelKind.INTERNAL:

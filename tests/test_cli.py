@@ -1,9 +1,21 @@
+import csv
+import dataclasses
 import json
 
 import pytest
 
 from ciakit.cli import main
-from ciakit import parse_automaton, reachable, serialize_automaton
+from ciakit import (
+    ExperimentRow,
+    GenParams,
+    generate_primitive,
+    metrics_record,
+    parse_automata,
+    parse_automaton,
+    reachable,
+    serialize_automaton,
+)
+from ciakit.experiment import rows_to_csv
 from conftest import aut, handshake_pair
 
 MINIMAL = """\
@@ -118,6 +130,34 @@ class TestMetrics:
         assert out[0] == "name,states,transitions,internal,beta,gini_in,gini_out"
         assert out[1] == "A,1,0,0,NA,NA,NA"
 
+    def test_csv_quotes_names_and_keeps_exact_floats(self, tmp_path, capsys):
+        comma = aut(
+            name="A,B",
+            states=["s0", "s1", "s2"],
+            trans=[("s0", ("A", f"t{i}", "A"), dst) for i, dst in enumerate(["s1", "s2"])]
+            + [("s1", (None, "m", "A"), "s2"), ("s2", ("A", "n", None), "s0"),
+               ("s2", ("A", "t0", "A"), "s2")],
+        )
+        path = tmp_path / "two.cia"
+        path.write_text(
+            serialize_automaton(comma) + serialize_automaton(generate_primitive(GenParams(seed=3))),
+            encoding="utf-8",
+        )
+        assert main(["metrics", str(path)]) == 0
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert header == ["name", "states", "transitions", "internal", "beta", "gini_in",
+                          "gini_out"]
+        automata = parse_automata(path.read_text(encoding="utf-8"))
+        assert [row[0] for row in rows] == ["A,B", automata[1].name]
+        for row, automaton in zip(rows, automata, strict=True):
+            assert len(row) == 7
+            record = metrics_record(automaton)
+            assert [int(cell) for cell in row[1:4]] == [
+                record.states, record.transitions, record.internal_transitions]
+            assert float(row[4]) == record.beta
+            assert float(row[5]) == record.gini_in
+            assert float(row[6]) == record.gini_out
+
     def test_json(self, doc, capsys):
         assert main(["metrics", str(doc), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -223,3 +263,84 @@ class TestPipeline:
         assert main(["regress", "--csv", str(csv_path), "--x", "beta",
                      "--y", "success"]) == 2
         assert "both classes" in capsys.readouterr().err
+
+
+# every option a subcommand's handler does not read is a usage error
+DEAD_OPTIONS = [
+    (command, option)
+    for command, options in [
+        ("parse", ["--seed", "--timeout", "--workers", "--format"]),
+        ("dot", ["--seed", "--timeout", "--workers", "--format"]),
+        ("regress", ["--seed", "--timeout", "--workers", "--format"]),
+        ("compose", ["--seed", "--workers", "--format"]),
+        ("refine", ["--seed", "--workers", "--format"]),
+        ("metrics", ["--seed", "--timeout", "--workers"]),
+        ("generate", ["--timeout", "--workers", "--format"]),
+        ("experiment", ["--seed"]),
+    ]
+    for option in options
+]
+OPTION_VALUES = {"--seed": "5", "--timeout": "3", "--workers": "2", "--format": "json"}
+
+
+def _base_argv(command: str, tmp_path) -> list[str]:
+    """A command line that is valid apart from any option appended to it."""
+    doc = str(tmp_path / "m.cia")
+    return {
+        "parse": ["parse", doc],
+        "dot": ["dot", doc],
+        "compose": ["compose", doc],
+        "refine": ["refine", doc],
+        "metrics": ["metrics", doc],
+        "regress": ["regress", "--csv", str(tmp_path / "rows.csv"), "--x", "beta",
+                    "--y", "success"],
+        "generate": ["generate", "--pairs", "1", "--out", str(tmp_path / "corpus")],
+        "experiment": ["experiment", "--corpus", str(tmp_path / "corpus")],
+    }[command]
+
+
+@pytest.mark.parametrize("command,option", DEAD_OPTIONS)
+def test_unread_option_is_usage_error(command, option, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*_base_argv(command, tmp_path), option, OPTION_VALUES[option]])
+    assert err.value.code == 1
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_generate_needs_out_dir(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["generate", "--pairs", "1"])
+    assert err.value.code == 1
+    assert "--out" in capsys.readouterr().err
+
+
+def _regress_csv(path) -> None:
+    base = ExperimentRow("p", 2, 2, 4, 4, 0, 1.0, 0.0, 0.0, 4, 0, 0.0, 0.0, 0, 0, 0)
+    outcomes = [0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0]
+    rows = [
+        dataclasses.replace(base, pair_id=f"p{i}", beta=1.0 + i / 10, success=success)
+        for i, success in enumerate(outcomes)
+    ]
+    path.write_text(rows_to_csv(rows), encoding="utf-8")
+
+
+@pytest.mark.parametrize("kept", [
+    ["parse", "{doc}"],
+    ["dot", "{doc}"],
+    ["regress", "--csv", "{csv}", "--x", "beta", "--y", "success"],
+    ["compose", "{pair}", "--pairwise", "--timeout", "60"],
+    ["refine", "{doc}", "--timeout", "60"],
+    ["metrics", "{doc}", "--format", "json"],
+    ["generate", "--pairs", "1", "--seed", "3", "--states", "3..4"],
+    ["experiment", "--corpus", "{corpus}", "--timeout", "60", "--workers", "1",
+     "--format", "json"],
+], ids=lambda kept: kept[0])
+def test_kept_options_accepted(kept, doc, pair_file, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "pair.cia").write_bytes(pair_file.read_bytes())
+    _regress_csv(tmp_path / "rows.csv")
+    paths = {"doc": doc, "pair": pair_file, "csv": tmp_path / "rows.csv", "corpus": corpus}
+    out = tmp_path / "out"
+    assert main([arg.format(**paths) for arg in kept] + ["--out", str(out)]) == 0
+    assert out.is_dir() if kept[0] == "generate" else out.read_text(encoding="utf-8")

@@ -9,7 +9,6 @@ from ciakit import (
     LabelKind,
     Transition,
     ValidationError,
-    label_kind,
     reachable,
 )
 from conftest import aut
@@ -17,9 +16,9 @@ from conftest import aut
 
 class TestLabel:
     def test_kinds(self):
-        assert label_kind(Label(None, "a", "A")) is LabelKind.INPUT
-        assert label_kind(Label("A", "a", None)) is LabelKind.OUTPUT
-        assert label_kind(Label("C620", "a6", "C915")) is LabelKind.INTERNAL
+        assert Label(None, "a", "A").kind is LabelKind.INPUT
+        assert Label("A", "a", None).kind is LabelKind.OUTPUT
+        assert Label("C620", "a6", "C915").kind is LabelKind.INTERNAL
 
     def test_two_absent_rejected(self):
         with pytest.raises(ValidationError, match="two absent annotations"):

@@ -96,6 +96,16 @@ def test_malformed_label():
         parse_automaton(doc)
 
 
+@pytest.mark.parametrize(
+    "token", ["(-,m)", "(,m,A)", "(A,m!,B)", "(A,m,B", "((A,m,B))", "(-,m,-)"]
+)
+def test_bad_label_located(token):
+    doc = MINIMAL.replace("(-,m,A)", token)
+    with pytest.raises(FormatError) as err:
+        parse_automaton(doc)
+    assert (err.value.line, err.value.column) == (5, len("trans s0 ") + 1)
+
+
 def test_actions_line_extends_alphabet():
     doc = MINIMAL.replace("initial s0", "initial s0\nactions n m")
     a = parse_automaton(doc)

@@ -16,8 +16,7 @@ from ciakit import (
     write_corpus,
 )
 from ciakit.generate import SplitMix64
-from ciakit.metrics import beta as beta_of
-from ciakit.metrics import gini_out, metrics_record
+from ciakit.metrics import metrics_record
 from oracles import chi2_sf_oracle
 
 
@@ -126,8 +125,9 @@ class TestGeneratePrimitive:
         betas, gouts = [], []
         for seed in range(1000):
             a = generate_primitive(GenParams(seed=seed))
-            betas.append(beta_of(a))
-            gouts.append(gini_out(a))
+            record = metrics_record(a)
+            betas.append(record.beta)
+            gouts.append(record.gini_out)
         assert statistics.fmean(betas) == pytest.approx(1.36, abs=0.05)
         mu = statistics.fmean(gouts)
         sd = statistics.pstdev(gouts)

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from ciakit import (
     GenParams,
     Label,
-    beta,
     generate_primitive,
     gini,
-    gini_in,
-    gini_out,
     metrics_record,
     partition_refine,
     quotient,
@@ -38,26 +35,27 @@ def full_graph(n_states, n_transitions):
 
 class TestBeta:
     def test_maximum_at_square(self):
-        assert beta(full_graph(4, 16)) == 2.0
+        assert metrics_record(full_graph(4, 16)).beta == 2.0
 
     def test_equal_logs(self):
-        assert beta(full_graph(2, 2)) == 1.0
+        assert metrics_record(full_graph(2, 2)).beta == 1.0
 
     def test_high_precision_value(self):
         # ln(23)/ln(10), frozen from a 50-digit evaluation
-        assert beta(full_graph(10, 23)) == pytest.approx(1.3617278360175929, abs=1e-9)
+        actual = metrics_record(full_graph(10, 23)).beta
+        assert actual == pytest.approx(1.3617278360175929, abs=1e-9)
 
     def test_undefined_cases(self):
-        assert beta(aut(states=["s0"])) is None
-        assert beta(aut(states=["s0", "s1"])) is None
+        assert metrics_record(aut(states=["s0"])).beta is None
+        assert metrics_record(aut(states=["s0", "s1"])).beta is None
 
     def test_single_transition_gives_zero(self):
-        assert beta(full_graph(2, 1)) == 0.0
+        assert metrics_record(full_graph(2, 1)).beta == 0.0
 
     def test_sparse_extreme(self):
         for n in (3, 5, 9):
             a = full_graph(n, n - 1)
-            assert beta(a) == pytest.approx(math.log(n - 1) / math.log(n), abs=1e-12)
+            assert metrics_record(a).beta == pytest.approx(math.log(n - 1) / math.log(n), abs=1e-12)
 
 
 class TestGini:
@@ -107,7 +105,7 @@ class TestDegreeGinis:
             trans=[(center, ("A", f"m{i}", None), leaf) for i, leaf in enumerate(leaves)],
             init=[center],
         )
-        assert gini_out(a) == pytest.approx(0.8)  # degrees [0,0,0,0,4]
+        assert metrics_record(a).gini_out == pytest.approx(0.8)  # degrees [0,0,0,0,4]
 
     def test_uniform_cycle(self):
         states = [f"s{i}" for i in range(5)]
@@ -116,8 +114,8 @@ class TestDegreeGinis:
             trans=[(states[i], (None, "m", "A"), states[(i + 1) % 5]) for i in range(5)],
             init=[states[0]],
         )
-        assert gini_in(a) == 0.0
-        assert gini_out(a) == 0.0
+        assert metrics_record(a).gini_in == 0.0
+        assert metrics_record(a).gini_out == 0.0
 
     def test_degree_sums_equal_transition_count(self):
         for seed in range(10):
@@ -148,7 +146,7 @@ class TestDegreeGinis:
                 a = aut(states=members + leaves, trans=trans, init=[members[0]])
                 reduced = quotient(a, partition_refine(a))
                 assert len(reduced.states) == len(leaves) + 1
-                assert gini_out(reduced) >= gini_out(a) - 1e-12
+                assert metrics_record(reduced).gini_out >= metrics_record(a).gini_out - 1e-12
 
     def test_five_state_clique_fragment_value(self):
         # out-degrees [0]*10 + [3]*5 evaluate to 2/3 under the formula
@@ -182,4 +180,4 @@ class TestMetricsRecord:
 @given(st.integers(min_value=2, max_value=12), st.data())
 def test_beta_matches_oracle(n, data):
     m = data.draw(st.integers(min_value=1, max_value=n * n))
-    assert beta(full_graph(n, m)) == pytest.approx(beta_oracle(n, m), abs=1e-9)
+    assert metrics_record(full_graph(n, m)).beta == pytest.approx(beta_oracle(n, m), abs=1e-9)
