@@ -67,6 +67,16 @@ def _io_policy(args) -> str | IoSets:
     return args.io
 
 
+def _warn_closed_default(args) -> None:
+    """Closed io makes every label internal, so default semantics merges every state."""
+    if _io_policy(args) == "closed" and not args.strict_internal:
+        sys.stderr.write(
+            "ciakit: warning: with --io closed every label is internal, so in the default "
+            "semantics every composite collapses to one state; --strict-internal matches "
+            "internal labels exactly\n"
+        )
+
+
 _METRICS_COLUMNS = ["name", "states", "transitions", "internal", "beta", "gini_in", "gini_out"]
 
 
@@ -98,6 +108,7 @@ def _cmd_compose(args) -> int:
     components = _read_automata(args.files)
     io_sets = resolve_io(_io_policy(args), components)
     if args.pairwise:
+        _warn_closed_default(args)
         result = compose_pairwise_reduce(
             components, io_sets, timeout=args.timeout, strict_internal=args.strict_internal
         )
@@ -152,6 +163,7 @@ def _cmd_experiment(args) -> int:
         return 0
     if not args.corpus:
         raise CiaError("experiment needs --corpus DIR (or --report CSV)")
+    _warn_closed_default(args)
     rows = run_experiment(
         args.corpus,
         io_policy=_io_policy(args),

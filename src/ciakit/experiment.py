@@ -8,19 +8,23 @@ pair the pipeline runs, on one integer-indexed form (``core.Indexed``):
    reachability pruning in one pass; no composite state is named);
 3. structural metrics of that reachable composite;
 4. timed refinement of the indexed form (``refine.refine_indexed``);
-5. count the quotient's states and surviving internal transitions
-   (``refine.quotient_triples``, the rule ``quotient`` uses);
+5. count the quotient's states and surviving internal transitions (the
+   rule of ``refine.quotient_triples``, which ``quotient`` uses, applied to
+   the internal labels only);
 6. one CSV row.
 
 Row order follows sorted file names regardless of worker count.  Refinement
 is considered a success when it merged at least one pair of states.  A pair
 whose file is malformed or whose pipeline raises becomes a ``status=error``
-row, and the run goes on.
+row, and the run goes on.  With several workers, a broken process pool (a
+worker killed, say) is logged once and every pair it had not finished
+becomes an error row; the rows already computed stay, in file order.
 
 Timing: ``elapsed_ms`` is the wall-clock time of refining the indexed form
-by default; composing, indexing and the quotient are not in it, so it reads
-lower than timing the public ``partition_refine`` would.  With
-``deterministic_timing`` it records the refinement work counter instead
+by default, a float of milliseconds written as its exact ``repr``; composing,
+indexing and the quotient are not in it, so it reads lower than timing the
+public ``partition_refine`` would.  With ``deterministic_timing`` it records
+the refinement work counter instead, an integer
 (``RefineStats.work_units()``: saturated label rows plus node signatures
 computed), which makes repeated runs byte-identical; the wall clock still
 enforces the timeout either way.
@@ -33,6 +37,7 @@ import io
 import logging
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
@@ -42,7 +47,7 @@ from .core import Automaton
 from .errors import CiaError, RefinementTimeout
 from .fmt import parse_automata
 from .metrics import MetricsRecord, indexed_record
-from .refine import RefineStats, quotient_triples, refine_indexed
+from .refine import RefineStats, refine_indexed
 
 __all__ = [
     "ExperimentRow",
@@ -82,7 +87,7 @@ class ExperimentRow:
     success: int
     reduction_ratio: float
     internal_removed_ratio: float
-    elapsed_ms: int
+    elapsed_ms: int | float
     over_5min: int
     timed_out: int
     status: str = "ok"
@@ -120,6 +125,13 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
     return table_to_csv(CSV_COLUMNS, ([getattr(row, col) for col in CSV_COLUMNS] for row in rows))
 
 
+def _int_or_float(raw: str) -> int | float:
+    try:
+        return int(raw)
+    except ValueError:
+        return float(raw)
+
+
 def rows_from_csv(text: str) -> list[ExperimentRow]:
     reader = csv.DictReader(io.StringIO(text))
     missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
@@ -136,6 +148,8 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
                 kwargs[col] = None
             elif col in _FLOAT_FIELDS:
                 kwargs[col] = float(raw)
+            elif col == "elapsed_ms":  # work units (int) or wall-clock ms (float)
+                kwargs[col] = _int_or_float(raw)
             else:
                 kwargs[col] = int(raw)
         rows.append(ExperimentRow(**kwargs))
@@ -159,11 +173,16 @@ def run_pair(
     try:
         block, refined = refine_indexed(composite, timeout, strict_internal, stats)
         internal = composite.internal()
-        left = sum(internal[lid] for _, lid, _ in quotient_triples(composite, block))
+        # the internal transitions quotient_triples keeps, counted without building the rest
+        left = len({
+            (block[src], lid, block[dst])
+            for src, lid, dst in composite.triples
+            if internal[lid] and block[src] != block[dst]
+        })
         status = "ok"
     except RefinementTimeout:
         status, refined, left = "timeout", None, 0
-    elapsed = stats.work_units() if deterministic_timing else int(stats.elapsed_s * 1000)
+    elapsed = stats.work_units() if deterministic_timing else stats.elapsed_s * 1000.0
     sizes = (len(first.states), len(second.states))
     return _row(pair_id, status, sizes, pre, refined, left, elapsed)
 
@@ -178,7 +197,7 @@ def _row(
     pre: MetricsRecord = _NO_METRICS,
     refined: int | None = None,
     internal_left: int = 0,
-    elapsed: int = 0,
+    elapsed: int | float = 0,
 ) -> ExperimentRow:
     """A row from the pruned composite's metrics and the refinement outcome.
 
@@ -255,8 +274,19 @@ def run_experiment(
     ]
     if workers <= 1:
         return [_run_file(job) for job in jobs]
+    rows = []
+    broken = False
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_file, jobs))
+        futures = [pool.submit(_run_file, job) for job in jobs]
+        for job, future in zip(jobs, futures):
+            try:
+                rows.append(future.result())
+            except BrokenProcessPool as exc:  # a worker died: its pairs and the queued ones
+                if not broken:
+                    _log.error("worker pool broke (%s); unfinished pairs become error rows", exc)
+                    broken = True
+                rows.append(_row(job[1], "error"))
+    return rows
 
 
 def _band_summary(values: list[float]) -> dict:

@@ -19,13 +19,20 @@ an ``Automaton`` (index the sorted states, name the blocks):
    weakly bisimilar; synchronization cliques collapse here.
 2. Saturate: one bitset pass over the SCC DAG, sinks first, computes the
    silent closure, and one more pass per label computes closure;l;closure.
-   In the default semantics every internal label shares the closure row.
+   A pass visits only the nodes with silent successors; every other row is
+   its direct step.  In the default semantics every internal label shares
+   the closure row.
 3. Refine by signatures: a node's signature is its block plus, per label,
    the set of blocks its saturated row reaches.  Splitting by signature
    until the block count stops growing gives the coarsest stable partition,
-   i.e. the states modulo weak bisimilarity, which is unique.  Interning
-   rows (a node keeps a fixed profile of row ids) lets a round build one
-   reached-block set per distinct row value, not one per node and label.
+   i.e. the states modulo weak bisimilarity, which is unique.  Signatures
+   are sparse: round 1 splits by the set of enabled labels (non-empty
+   rows), which is what a full signature over one block tells apart, and
+   later rounds key a node by its block and the reached sets of its
+   non-empty rows only, in label order.  Nodes of one block enable the same
+   labels, so their lists line up.  Interning rows (a node keeps a fixed
+   profile of row ids) lets a round build one reached-block set per
+   distinct row value, not one per node and label.
 
 The module also ships a brute-force greatest-fixpoint weak-bisimulation
 oracle for cross-checking refinement results on small instances.
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .core import Automaton, Indexed, Label, LabelKind, Transition
@@ -87,9 +95,11 @@ class RefineStats:
     """Deterministic work counters filled in by partition_refine.
 
     ``sweeps`` counts signature rounds, ``refine_steps`` the saturated label
-    rows computed, and ``splitter_evals`` the node signatures computed (SCC
-    nodes times rounds).  ``elapsed_s`` is the wall-clock time spent in
-    ``refine_indexed``.
+    rows computed (the default semantics' shared closure row included), and
+    ``splitter_evals`` the node signatures computed (SCC nodes times
+    rounds).  The first round, the split by enabled labels, counts as a
+    round and one signature per node.  ``elapsed_s`` is the wall-clock time
+    spent in ``refine_indexed``.
     """
 
     sweeps: int = 0
@@ -153,9 +163,9 @@ def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int]:
     return comp, count
 
 
-def _propagate(rows: list[int], dag: list[set[int]]) -> list[int]:
-    """Union each node's row with the rows of its silent successors, sinks first."""
-    for c, succs in enumerate(dag):
+def _propagate(rows: list[int], inner: list[tuple[int, set[int]]]) -> list[int]:
+    """Union each inner node's row with the rows of its silent successors, sinks first."""
+    for c, succs in inner:
         row = rows[c]
         for d in succs:
             row |= rows[d]
@@ -173,15 +183,15 @@ def refine_indexed(
 
     Returns a block id per state (ids ``0 .. count-1``, in no canonical
     order) and the block count.  ``timeout`` (seconds) is checked after SCC
-    condensation, after each label's saturation and once per signature
+    condensation, after each label's saturation and before every signature
     round; on expiry RefinementTimeout is raised.
     """
-    started = time.monotonic()
+    started = time.perf_counter()
     if stats is None:
         stats = RefineStats()
 
     def check_budget() -> None:
-        elapsed = time.monotonic() - started
+        elapsed = time.perf_counter() - started
         if timeout is not None and elapsed > timeout:
             stats.elapsed_s = elapsed
             raise RefinementTimeout(elapsed, timeout)
@@ -203,27 +213,44 @@ def refine_indexed(
         for dst in targets:
             if comp[src] != comp[dst]:
                 dag[comp[src]].add(comp[dst])
+    # only nodes with silent successors can gain targets from propagation
+    inner = [(c, succs) for c, succs in enumerate(dag) if succs]
     check_budget()
 
-    closure = _propagate([1 << c for c in range(k)], dag)
-    label_rows: list[list[int]] = [] if strict_internal else [closure]
-    for lid in sorted(by_label, key=lambda lid: labels[lid].sort_key()):
+    closure = _propagate([1 << c for c in range(k)], inner)
+    row_id: dict[int, int] = {}
+    # profile[c]: row ids of c's non-empty saturated rows, in canonical label
+    # order; enabled[c]: bitmask of the labels those rows belong to.  Lists,
+    # not tuples: freed tuples linger on per-size free lists and raise peak memory.
+    if strict_internal:
+        profile: list[list[int]] = [[] for _ in range(k)]
+    else:  # the closure row is never empty, so it does not split the label set
+        profile = [[row_id.setdefault(row, len(row_id))] for row in closure]
+    enabled = [0] * k
+    for position, lid in enumerate(sorted(by_label, key=lambda lid: labels[lid].sort_key())):
+        bit = 1 << position
         step = [0] * k
         for src, dst in by_label[lid]:
             step[comp[src]] |= closure[comp[dst]]
-        label_rows.append(_propagate(step, dag))
+        _propagate(step, inner)
+        for c in compress(range(k), step):
+            profile[c].append(row_id.setdefault(step[c], len(row_id)))
+            enabled[c] |= bit
         check_budget()
-    stats.refine_steps += len(label_rows)
-
-    # lists, not tuples: freed tuples linger on per-size free lists and raise peak memory
-    row_id: dict[int, int] = {}
-    profile = [[row_id.setdefault(r[c], len(row_id)) for r in label_rows] for c in range(k)]
+    stats.refine_steps += len(by_label) + (not strict_internal)
     targets = [list(_bits(row)) for row in row_id]
-    del closure, label_rows, row_id
+    del closure, row_id
 
-    block = [0] * k
-    count = 1 if k else 0
-    while True:
+    # Round 1 splits by the set of enabled labels, as a dense signature with
+    # an empty reached set per disabled label would; nodes of one block then
+    # share their labels, so their sparse profiles line up position by position.
+    check_budget()
+    stats.sweeps += 1
+    stats.splitter_evals += k
+    label_sets: dict[int, int] = {}
+    block = [label_sets.setdefault(mask, len(label_sets)) for mask in enabled]
+    count = len(label_sets)
+    while count > 1:
         check_budget()
         stats.sweeps += 1
         stats.splitter_evals += k
@@ -237,7 +264,7 @@ def refine_indexed(
             break
         block, count = refined, len(ids)
 
-    stats.elapsed_s = time.monotonic() - started
+    stats.elapsed_s = time.perf_counter() - started
     return [block[c] for c in comp], count
 
 

@@ -8,11 +8,14 @@ from ciakit.cli import main
 from ciakit import (
     ExperimentRow,
     GenParams,
+    IoSets,
+    compose_pairwise_reduce,
     generate_primitive,
     metrics_record,
     parse_automata,
     parse_automaton,
     reachable,
+    run_experiment,
     serialize_automaton,
 )
 from ciakit.experiment import rows_to_csv
@@ -118,6 +121,37 @@ class TestComposeRefine:
         path.write_text(serialize_automaton(chain), encoding="utf-8")
         assert main(["refine", str(path), "--strict-internal"]) == 0
         assert "states r0 r1 r2" in capsys.readouterr().out
+
+
+def _closed_run(command, pair_file):
+    """CLI arguments of a closed-io run and the output the library gives for it."""
+    if command == "experiment":
+        corpus = pair_file.parent
+        args = ["experiment", "--corpus", str(corpus), "--deterministic-timing"]
+        expected = rows_to_csv(run_experiment(corpus, "closed", deterministic_timing=True))
+    else:
+        args = ["compose", str(pair_file), "--pairwise"]
+        components = parse_automata(pair_file.read_text(encoding="utf-8"))
+        expected = serialize_automaton(compose_pairwise_reduce(components, IoSets.closed()))
+    return [*args, "--io", "closed"], expected
+
+
+@pytest.mark.parametrize("command", ["experiment", "compose"])
+def test_closed_io_in_default_semantics_warns_once(command, pair_file, capsys):
+    args, expected = _closed_run(command, pair_file)
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("warning") == 1
+    assert "every composite collapses to one state" in captured.err
+    assert captured.out == expected
+
+
+@pytest.mark.parametrize("command", ["experiment", "compose"])
+@pytest.mark.parametrize("extra", [["--strict-internal"], ["--io", "open"]], ids=["strict", "open"])
+def test_no_closed_io_warning(command, extra, pair_file, capsys):
+    args, _ = _closed_run(command, pair_file)
+    assert main([*args, *extra]) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestMetrics:

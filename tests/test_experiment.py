@@ -1,3 +1,6 @@
+import logging
+from concurrent.futures import Executor, Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -153,6 +156,37 @@ class TestRunExperiment:
         assert (rows[0], rows[2]) == (expected[0], expected[2])
         assert "pair pair00001 failed" in caplog.text and "RuntimeError: boom" in caplog.text
 
+    def test_broken_pool_turns_unfinished_pairs_into_error_rows(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        corpus = tmp_path / "corpus"
+        write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 4), corpus)
+        expected = run_experiment(corpus, deterministic_timing=True)
+        lost = {"pair00001", "pair00003"}
+
+        class BreakingPool(Executor):
+            """Runs jobs in-process; the futures of the ``lost`` pairs break."""
+
+            def __init__(self, max_workers=None):
+                pass
+
+            def submit(self, fn, job):
+                future = Future()
+                if job[1] in lost:
+                    future.set_exception(BrokenProcessPool("a worker was killed"))
+                else:
+                    future.set_result(fn(job))
+                return future
+
+        monkeypatch.setattr("ciakit.experiment.ProcessPoolExecutor", BreakingPool)
+        with caplog.at_level(logging.ERROR, logger="ciakit.experiment"):
+            rows = run_experiment(corpus, workers=2, deterministic_timing=True)
+        assert [r.pair_id for r in rows] == [r.pair_id for r in expected]
+        assert [r.status for r in rows] == ["ok", "error", "ok", "error"]
+        assert (rows[0], rows[2]) == (expected[0], expected[2])
+        assert len(caplog.records) == 1
+        assert "a worker was killed" in caplog.text
+
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(CiaError, match="no .cia files"):
             run_experiment(tmp_path)
@@ -174,6 +208,19 @@ class TestCsvRoundTrip:
         back = rows_from_csv(text)
         assert back == rows
         assert rows_to_csv(back) == text
+
+    def test_wall_clock_elapsed_ms_round_trips_as_float(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(generate_corpus(GenParams(state_count_range=(3, 6), seed=8), 4), corpus)
+        rows = run_experiment(corpus)
+        assert all(isinstance(r.elapsed_ms, float) for r in rows)
+        text = rows_to_csv(rows)
+        back = rows_from_csv(text)
+        assert back == rows
+        assert [type(r.elapsed_ms) for r in back] == [float] * len(rows)
+        assert rows_to_csv(back) == text
+        work = rows_from_csv(rows_to_csv(run_experiment(corpus, deterministic_timing=True)))
+        assert all(type(r.elapsed_ms) is int for r in work)
 
     def test_na_serialization(self):
         row = ExperimentRow(

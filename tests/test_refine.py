@@ -350,6 +350,58 @@ def test_partition_equals_oracle_classes_on_clique_automata(strict, a):
     assert set(got.blocks) == oracle_classes(a, strict_internal=strict)
 
 
+OUT_A = Label("A", "a", None)
+OUT_B = Label("A", "b", None)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@pytest.mark.parametrize("silent_prefix", [False, True], ids=["direct", "after-silent-step"])
+def test_enabled_labels_split_before_targets(strict, silent_prefix):
+    # p and q reach the same block x, but by different labels: the engine's
+    # sparse signatures list reached blocks without their labels, so only the
+    # split by enabled labels keeps p and q apart
+    if silent_prefix:
+        trans = [("p", TAU, "p1"), ("p1", OUT_A, "x"), ("q", TAU, "q1"), ("q1", OUT_B, "x")]
+    else:
+        trans = [("p", OUT_A, "x"), ("q", OUT_B, "x")]
+    a = aut(states=sorted({s for s, _, _ in trans} | {"x"}), trans=trans)
+    part = partition_refine(a, strict_internal=strict)
+    assert not any({"p", "q"} <= block for block in part.blocks)
+    assert set(part.blocks) == oracle_classes(a, strict_internal=strict)
+
+
+# Silent and visible labels over two components, for automata whose states
+# differ mostly in which labels they enable.
+LABEL_POOL = SILENT + VISIBLE + (Label("A", "c", None), Label(None, "d", "B"))
+
+
+@st.composite
+def label_subset_automata(draw):
+    """At most 12 states over 3-5 labels; each state enables a random subset.
+
+    Every move leads into one of at most three target states, so states that
+    enable different labels often reach the same blocks.
+    """
+    n = draw(st.integers(1, 12))
+    states = [f"s{i}" for i in range(n)]
+    labels = draw(st.lists(st.sampled_from(LABEL_POOL), min_size=3, max_size=5, unique=True))
+    targets = st.sampled_from(draw(st.lists(st.sampled_from(states), min_size=1, max_size=3)))
+    trans = [
+        (q, label, draw(targets))
+        for q in states
+        for label in draw(st.lists(st.sampled_from(labels), unique=True))
+    ]
+    return aut(hier=("A", "B"), states=states, trans=trans)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(a=label_subset_automata())
+def test_partition_equals_oracle_classes_on_label_subsets(strict, a):
+    got = partition_refine(a, strict_internal=strict)
+    assert set(got.blocks) == oracle_classes(a, strict_internal=strict)
+
+
 # Seeded composites above the oracle's size limit, with the refinement
 # counters and a digest of the canonical partition pinned.  The counters feed
 # ``--deterministic-timing`` output, so a change here changes experiment CSVs.
