@@ -45,8 +45,6 @@ from .regress import (
     LogisticFit,
     classify,
     fit_logistic,
-    lr_p_value,
-    predict,
     threshold_x,
 )
 

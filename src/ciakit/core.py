@@ -84,6 +84,12 @@ class Label:
             return LabelKind.OUTPUT
         return LabelKind.INTERNAL
 
+    def __hash__(self) -> int:
+        # hash(None) is address-based before Python 3.12; hashing strings
+        # only makes label sets, and so every internal numbering, iterate
+        # in the same order in every process with the same PYTHONHASHSEED
+        return hash(self.sort_key())
+
     def sort_key(self) -> tuple[str, str, str]:
         # absent annotations sort before any component name
         return (self.src or "", self.action, self.dst or "")

@@ -4,8 +4,12 @@ The model is ``pi(x) = exp(a + b*x) / (1 + exp(a + b*x))`` with intercept
 ``a`` and coefficient ``b``.  Fitting runs Newton-Raphson on an internally
 standardized predictor (raw scales here span three orders of magnitude and
 make the Hessian ill-conditioned), then back-transforms coefficients and
-standard errors.  Model significance is a likelihood-ratio chi-square against
-the intercept-only fit, one degree of freedom.
+standard errors.  With two parameters the Hessian is 2x2, so each Newton
+step and the covariance are closed-form (Cramer's rule and the explicit
+inverse).  Every sum over observations is exactly rounded (``math.fsum``),
+so a fit does not depend on row order.  Model significance is a
+likelihood-ratio chi-square against the intercept-only fit, one degree of
+freedom.
 """
 
 from __future__ import annotations
@@ -14,16 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import SeparationError
 
 __all__ = [
     "LogisticFit",
     "ClassificationReport",
-    "predict",
     "fit_logistic",
-    "lr_p_value",
     "classify",
     "threshold_x",
 ]
@@ -57,22 +57,17 @@ class ClassificationReport:
     specificity: float
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(t: float) -> float:
+    """``1 / (1 + exp(-t))``; stable for large ``|t|``."""
+    if t >= 0:
+        return 1.0 / (1.0 + math.exp(-t))
+    et = math.exp(t)
+    return et / (1.0 + et)
 
 
 def predict(fit: LogisticFit, x: float) -> float:
-    """Predicted success probability at ``x``; stable for large |a + b*x|."""
-    z = fit.a + fit.b * x
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+    """Predicted success probability at ``x``."""
+    return _sigmoid(fit.a + fit.b * x)
 
 
 def lr_p_value(chi2: float) -> float:
@@ -82,9 +77,14 @@ def lr_p_value(chi2: float) -> float:
     return math.erfc(math.sqrt(chi2 / 2.0))
 
 
-def _log_likelihood(z: np.ndarray, y: np.ndarray) -> float:
-    # sum(y*log(p) + (1-y)*log(1-p)) written via logaddexp for stability
-    return float(-(np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (1.0 - y)).sum())
+def _softplus(t: float) -> float:
+    """``log(1 + exp(t))``; stable for large ``|t|``."""
+    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+
+
+def _log_likelihood(a: float, b: float, zs: list[float], ys: list[float]) -> float:
+    # log(p) = -softplus(-eta) and log(1 - p) = -softplus(eta)
+    return -math.fsum(_softplus(-(a + b * z) if y else a + b * z) for z, y in zip(zs, ys))
 
 
 def fit_logistic(
@@ -100,60 +100,61 @@ def fit_logistic(
     not exist).  Returns ``converged=False`` if Newton-Raphson failed to
     reach ``tol`` within ``max_iter`` iterations.
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
+    x = [float(v) for v in xs]
+    y = [float(v) for v in ys]
+    n = len(x)
+    if n != len(y):
         raise ValueError("xs and ys must be equal-length 1-d sequences")
-    if len(x) < 10:
+    if n < 10:
         raise ValueError("need at least 10 observations")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not all(v == 0.0 or v == 1.0 for v in y):
         raise ValueError("ys must be 0/1")
-    if y.min() == y.max():
+    if min(y) == max(y):
         raise ValueError("ys must contain both classes")
-    mean = float(x.mean())
-    scale = float(x.std())
-    if scale == 0.0:
+    if not all(map(math.isfinite, x)):
+        raise ValueError("xs must be finite")
+    mean = math.fsum(x) / n
+    scale = math.sqrt(math.fsum((v - mean) ** 2 for v in x) / n)
+    # an exactly rounded mean of equal values can miss them by an ulp
+    if scale == 0.0 or min(x) == max(x):
         raise ValueError("constant predictor")
-    z = (x - mean) / scale
+    z = [(v - mean) / scale for v in x]
 
-    ybar = float(y.mean())
+    ybar = math.fsum(y) / n
     a_std = math.log(ybar / (1.0 - ybar))
     b_std = 0.0
-    ll = _log_likelihood(np.full_like(z, a_std), y)
-    ll_null = ll
+    ll = ll_null = _log_likelihood(a_std, b_std, z, y)
     converged = False
     iterations = 0
-    hess = np.eye(2)
+    h00, h01, h11 = 1.0, 0.0, 1.0  # the Hessian [[h00, h01], [h01, h11]]
     for iterations in range(1, max_iter + 1):
-        eta = a_std + b_std * z
-        p = _sigmoid(eta)
-        w = p * (1.0 - p)
-        grad = np.array([float((y - p).sum()), float(((y - p) * z).sum())])
-        hess = np.array(
-            [
-                [float(w.sum()), float((w * z).sum())],
-                [float((w * z).sum()), float((w * z * z).sum())],
-            ]
-        )
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
+        p = [_sigmoid(a_std + b_std * v) for v in z]
+        r = [yi - pi for yi, pi in zip(y, p)]
+        w = [pi * (1.0 - pi) for pi in p]
+        g0 = math.fsum(r)
+        g1 = math.fsum(ri * v for ri, v in zip(r, z))
+        h00 = math.fsum(w)
+        h01 = math.fsum(wi * v for wi, v in zip(w, z))
+        h11 = math.fsum(wi * v * v for wi, v in zip(w, z))
+        det = h00 * h11 - h01 * h01
+        if det == 0.0:
             break
+        step_a = (g0 * h11 - h01 * g1) / det
+        step_b = (h00 * g1 - h01 * g0) / det
         # step-halving keeps the likelihood monotone on awkward samples
         factor = 1.0
         for _ in range(30):
-            na, nb = a_std + factor * step[0], b_std + factor * step[1]
-            ll_new = _log_likelihood(na + nb * z, y)
+            ll_new = _log_likelihood(a_std + factor * step_a, b_std + factor * step_b, z, y)
             if ll_new >= ll - 1e-12:
                 break
             factor /= 2.0
-        a_std, b_std = a_std + factor * step[0], b_std + factor * step[1]
+        a_std, b_std = a_std + factor * step_a, b_std + factor * step_b
         if abs(b_std) > _SEPARATION_BOUND:
             raise SeparationError(
                 f"standardized slope {b_std:.1f} exceeds {_SEPARATION_BOUND}: "
                 "classes are separated, the MLE does not exist"
             )
-        ll_new = _log_likelihood(a_std + b_std * z, y)
+        ll_new = _log_likelihood(a_std, b_std, z, y)
         if abs(ll_new - ll) < tol:
             ll = ll_new
             converged = True
@@ -161,15 +162,17 @@ def fit_logistic(
         ll = ll_new
 
     # back-transform: x_std = (x - mean)/scale  =>  b = b_std/scale,
-    # a = a_std - b_std*mean/scale; covariance via the Jacobian of that map.
-    jac = np.array([[1.0, -mean / scale], [0.0, 1.0 / scale]])
-    try:
-        cov_std = np.linalg.inv(hess)
-        cov = jac @ cov_std @ jac.T
-        se_a = math.sqrt(max(cov[0, 0], 0.0))
-        se_b = math.sqrt(max(cov[1, 1], 0.0))
-    except np.linalg.LinAlgError:
+    # a = a_std - b_std*mean/scale; covariance J C J^T with the Jacobian
+    # J = [[1, -mean/scale], [0, 1/scale]] of that map and C the inverse
+    # of the last Hessian, [[h11, -h01], [-h01, h00]] / det.
+    det = h00 * h11 - h01 * h01
+    if det == 0.0:
         se_a = se_b = float("nan")
+    else:
+        c00, c01, c11 = h11 / det, -h01 / det, h00 / det
+        shift, inv_scale = mean / scale, 1.0 / scale
+        se_a = math.sqrt(max((c00 - shift * c01) - shift * (c01 - shift * c11), 0.0))
+        se_b = math.sqrt(max(c11 * inv_scale * inv_scale, 0.0))
     chi2 = max(2.0 * (ll - ll_null), 0.0)
     return LogisticFit(
         a=a_std - b_std * mean / scale,

@@ -1,11 +1,22 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import ciakit
 
 from ciakit import Automaton, GenParams, Hierarchy, Label, compose, default_io_sets
 from ciakit import generate_corpus, generate_primitive, reachable
 from ciakit.generate import SplitMix64
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def python_output(code: str, **env: str) -> str:
+    """Standard output of ``python -c code`` in a fresh interpreter on this ciakit."""
+    src = str(Path(ciakit.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src, **env}).stdout
 
 
 def aut(name="A", hier=("A",), states=(), trans=(), init=(), actions=()):

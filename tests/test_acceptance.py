@@ -25,7 +25,6 @@ from ciakit import (
     fit_logistic,
     generate_corpus,
     gini,
-    lr_p_value,
     metrics_record,
     partition_refine,
     quotient,
@@ -39,6 +38,7 @@ from ciakit import (
 )
 from ciakit.experiment import rows_to_csv
 from ciakit.generate import SplitMix64
+from ciakit.regress import lr_p_value
 from conftest import aut, random_automaton
 from oracles import beta_oracle, compose_oracle, gini_oracle, logistic_grid_oracle
 

@@ -18,7 +18,7 @@ from ciakit import (
     run_experiment,
     serialize_automaton,
 )
-from ciakit.experiment import rows_to_csv
+from ciakit.experiment import rows_from_csv, rows_to_csv
 from conftest import aut, handshake_pair
 
 MINIMAL = """\
@@ -297,6 +297,18 @@ class TestPipeline:
         assert main(["regress", "--csv", str(csv_path), "--x", "beta",
                      "--y", "success"]) == 2
         assert "both classes" in capsys.readouterr().err
+
+    def test_regress_non_finite_predictor_is_data_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
+        _regress_csv(csv_path)
+        rows = rows_from_csv(csv_path.read_text(encoding="utf-8"))
+        rows[3] = dataclasses.replace(rows[3], beta=float("nan"))
+        csv_path.write_text(rows_to_csv(rows), encoding="utf-8")
+        assert main(["regress", "--csv", str(csv_path), "--x", "beta",
+                     "--y", "success"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "xs must be finite" in captured.err
 
 
 # every option a subcommand's handler does not read is a usage error

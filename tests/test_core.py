@@ -11,7 +11,7 @@ from ciakit import (
     ValidationError,
     reachable,
 )
-from conftest import aut
+from conftest import aut, python_output
 
 
 class TestLabel:
@@ -41,6 +41,11 @@ class TestLabel:
         ordered = sorted(labels, key=Label.sort_key)
         assert ordered[0] == Label(None, "a", "B")
         assert ordered[1] == Label("A", "a", "B")
+
+    def test_hash_is_over_strings(self):
+        # the dataclass keeps the explicit __hash__ instead of hashing None
+        assert hash(Label(None, "m", "A")) == hash(("", "m", "A"))
+        assert hash(Label("B", "m", None)) == hash(("B", "m", ""))
 
 
 class TestHierarchy:
@@ -169,3 +174,23 @@ def test_reachable_properties(a):
     assert a.initial <= r.states
     assert r.transitions <= a.transitions
     assert r.states <= a.states
+
+
+NUMBERING_SCRIPT = """
+import hashlib
+from ciakit import GenParams, generate_corpus
+from ciakit.compose import default_io_sets, reachable_product
+from ciakit.refine import refine_indexed
+out = []
+for a, b in generate_corpus(GenParams(state_count_range=(4, 7), seed=3), 3):
+    indexed = reachable_product([a, b], default_io_sets([a, b]))
+    out.append(([l.render() for l in indexed.labels], sorted(indexed.triples),
+                refine_indexed(indexed)))
+print(hashlib.sha256(repr(out).encode()).hexdigest())
+"""
+
+
+def test_internal_numbering_reproducible_across_processes():
+    """Label ids, state numbers and raw block ids depend on PYTHONHASHSEED only."""
+    runs = [python_output(NUMBERING_SCRIPT, PYTHONHASHSEED="0") for _ in range(2)]
+    assert runs[0] == runs[1]

@@ -8,10 +8,10 @@ from ciakit import (
     SeparationError,
     classify,
     fit_logistic,
-    lr_p_value,
-    predict,
     threshold_x,
 )
+from ciakit.regress import lr_p_value, predict
+from conftest import python_output
 from oracles import chi2_sf_oracle, logistic_grid_oracle
 
 
@@ -131,6 +131,16 @@ class TestFitLogistic:
             fit_logistic([2.0] * 12, [0, 1] * 6)
         with pytest.raises(ValueError, match="0/1"):
             fit_logistic(list(range(12)), [0, 2] * 6)
+        # the exactly rounded mean of twelve 0.1s is not 0.1
+        with pytest.raises(ValueError, match="constant predictor"):
+            fit_logistic([0.1] * 12, [0, 1] * 6)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="xs must be finite"):
+                fit_logistic([*range(11), bad], [0, 1] * 6)
+
+    def test_row_order_does_not_change_the_fit(self):
+        xs, ys = synthetic(-1.0, 0.8, n=300, seed=17)
+        assert fit_logistic(xs, ys) == fit_logistic(xs[::-1], ys[::-1])
 
 
 class TestClassify:
@@ -184,3 +194,8 @@ class TestThresholdX:
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
             threshold_x(make_fit(1.0, 1.0), 1.0)
+
+
+def test_import_loads_no_numpy():
+    probe = "import ciakit, ciakit.cli, sys; print('numpy' in sys.modules)"
+    assert python_output(probe).strip() == "False"
