@@ -37,7 +37,6 @@ from .refine import (
     RefineStats,
     partition_refine,
     quotient,
-    weak_bisim_oracle,
     weak_bisim_relation,
 )
 from .regress import (

@@ -13,10 +13,11 @@ sets.  Its transitions fall into four classes:
 * output    -- an output label fires alone, allowed only if its action is in
                the provided set P.
 
-One explorer builds every composite.  It numbers each component's sorted
-states, codes a product state as one integer and runs a worklist from a seed
-set of product states, recording distinct ``(source, label id, target)``
-triples (``core.Indexed``).  ``compose`` seeds it with every product state;
+One explorer builds every composite.  It reads each component's indexed
+form (``core.Indexed.of``, which numbers the sorted states), codes a product
+state as one integer and runs a worklist from a seed set of product states,
+recording distinct ``(source, label id, target)`` triples
+(``core.Indexed``).  ``compose`` seeds it with every product state;
 ``reachable_composite`` and the experiment pipeline seed it with the initial
 states, which gives ``reachable(compose(...))`` without building the
 unreachable part.  Composite states are named with tuple tokens
@@ -78,7 +79,7 @@ def resolve_io(policy: str | IoSets, components: Iterable[Automaton]) -> IoSets:
 
 
 class _Product:
-    """Move tables of each component over its sorted local state indices.
+    """Move tables of each component over its ``Indexed.of`` state numbers.
 
     A product state is coded as one integer, ``sum(local_i * stride_i)``
     with the last component varying fastest, so codes ``0 .. size-1`` run
@@ -101,7 +102,8 @@ class _Product:
             raise ValidationError(f"io sets mention unknown actions {sorted(stray)!r}")
 
         self.components = components
-        self.names = [a.sorted_states() for a in components]
+        forms = [Indexed.of(a) for a in components]
+        self.names = [names for _, names in forms]
         self.strides = [1] * len(components)
         for i in range(len(components) - 2, -1, -1):
             self.strides[i] = self.strides[i + 1] * len(self.names[i + 1])
@@ -111,15 +113,13 @@ class _Product:
         # per component and local state: solo moves as (label id, code delta),
         # and per action the halves of a sync move as (annotation, code delta)
         self.solo, self.sends, self.receives = [], [], []
-        for automaton, names, stride in zip(components, self.names, self.strides):
-            index = {state: i for i, state in enumerate(names)}
+        for (form, names), stride in zip(forms, self.strides):
             solo: list[list[tuple[int, int]]] = [[] for _ in names]
             sends: list[dict[str, list]] = [{} for _ in names]
             receives: list[dict[str, list]] = [{} for _ in names]
-            for trans in automaton.transitions:
-                label = trans.label
-                src = index[trans.source]
-                delta = (index[trans.target] - src) * stride
+            for src, lid, dst in form.triples:
+                label = form.labels[lid]
+                delta = (dst - src) * stride
                 kind = label.kind
                 if kind is LabelKind.OUTPUT:
                     sends[src].setdefault(label.action, []).append((label.src, delta))
@@ -243,13 +243,26 @@ def compose_pairwise_reduce(
     Composing only two automata at a time and immediately applying
     reachability pruning plus weak-bisimulation reduction keeps intermediate
     products small ("on-the-fly" reduction).  Fold order is part of the
-    contract.  Raises RefinementTimeout if any reduction exceeds ``timeout``.
+    contract.  A step keeps open what a later component still synchronizes
+    on: it composes under P plus the later components' input actions and R
+    plus their output actions, without the actions only later components
+    declare.  The last step uses ``io`` as given.  Raises RefinementTimeout
+    if any reduction exceeds ``timeout``.
     """
     if len(components) < 2:
         raise ValidationError("composition needs at least 2 components")
     acc = components[0]
-    for nxt in components[1:]:
-        composite = reachable_composite([acc, nxt], io)
+    for i in range(1, len(components)):
+        nxt, later = components[i], components[i + 1 :]
+        later_io = default_io_sets(later)
+        # dropping only the later components' own actions, not intersecting
+        # with the pair's, keeps the product's error for an action nobody declares
+        pending = frozenset().union(*(a.actions for a in later)) - acc.actions - nxt.actions
+        step = IoSets(
+            (io.provided | later_io.required) - pending,
+            (io.required | later_io.provided) - pending,
+        )
+        composite = reachable_composite([acc, nxt], step)
         partition = partition_refine(composite, timeout, strict_internal=strict_internal)
         acc = quotient(composite, partition)
     return acc

@@ -9,8 +9,8 @@ pair the pipeline runs, on one integer-indexed form (``core.Indexed``):
 3. structural metrics of that reachable composite;
 4. timed refinement of the indexed form (``refine.refine_indexed``);
 5. count the quotient's states and surviving internal transitions (the
-   rule of ``refine.quotient_triples``, which ``quotient`` uses, applied to
-   the internal labels only);
+   rule of ``refine.quotient``, over block ids instead of block names: an
+   internal transition survives when it crosses two blocks);
 6. one CSV row.
 
 Row order follows sorted file names regardless of worker count.  Refinement
@@ -173,7 +173,7 @@ def run_pair(
     try:
         block, refined = refine_indexed(composite, timeout, strict_internal, stats)
         internal = composite.internal()
-        # the internal transitions quotient_triples keeps, counted without building the rest
+        # the internal transitions quotient keeps, counted without building the rest
         left = len({
             (block[src], lid, block[dst])
             for src, lid, dst in composite.triples

@@ -34,8 +34,10 @@ an ``Automaton`` (index the sorted states, name the blocks):
    profile of row ids) lets a round build one reached-block set per
    distinct row value, not one per node and label.
 
-The module also ships a brute-force greatest-fixpoint weak-bisimulation
-oracle for cross-checking refinement results on small instances.
+``weak_bisim_relation`` is a brute-force greatest-fixpoint weak-bisimulation
+oracle on one small automaton, kept independent of the engine to cross-check
+its partitions (the perfbench gate uses it; the tests compare two automata
+by running it on their disjoint union).
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "partition_refine",
     "quotient",
     "weak_bisim_relation",
-    "weak_bisim_oracle",
 ]
 
 
@@ -287,40 +288,30 @@ def partition_refine(
     return Partition.from_blocks(frozenset(group) for group in members)
 
 
-def quotient_triples(indexed: Indexed, block: list[int]) -> set[tuple[int, int, int]]:
-    """The quotient's transitions as distinct ``(block, label id, block)`` triples.
-
-    An internal transition survives exactly when it crosses two distinct
-    blocks; every other transition survives.
-    """
-    internal = indexed.internal()
-    return {
-        (block[src], lid, block[dst])
-        for src, lid, dst in indexed.triples
-        if not internal[lid] or block[src] != block[dst]
-    }
-
-
 def quotient(automaton: Automaton, partition: Partition) -> Automaton:
     """Collapse each block to one state, dropping silent self-loops.
 
-    Block states are renamed ``r0, r1, ...`` in canonical block order and
-    the transitions are those of ``quotient_triples``.  The hierarchy is
-    preserved, so the quotient stays comparable with the original.
-    Dropping the loops is exact only in the default semantics; a dropped
-    loop may carry an internal label that ``strict_internal`` needs.
+    Block states are renamed ``r0, r1, ...`` in canonical block order.  A
+    transition survives, renamed, unless it is internal and both its ends lie
+    in one block.  The hierarchy is preserved, so the quotient stays
+    comparable with the original.  Dropping the loops is exact only in the
+    default semantics; a dropped loop may carry an internal label that
+    ``strict_internal`` needs.  Raises ValidationError unless the partition
+    covers exactly the automaton's states.
     """
-    position = {state: i for i, block in enumerate(partition.blocks) for state in block}
-    indexed, states = Indexed.of(automaton)
-    names = [f"r{i}" for i in range(len(partition.blocks))]
-    labels = indexed.labels
-    triples = quotient_triples(indexed, [position[state] for state in states])
+    name = {state: f"r{i}" for i, block in enumerate(partition.blocks) for state in block}
+    if name.keys() != automaton.states:
+        raise ValidationError("partition does not cover exactly the automaton's states")
     return Automaton(
         name=automaton.name,
-        states=frozenset(names),
+        states=frozenset(name.values()),
         actions=automaton.actions,
-        transitions=frozenset(Transition(names[s], labels[lid], names[d]) for s, lid, d in triples),
-        initial=frozenset(names[position[state]] for state in automaton.initial),
+        transitions=frozenset(
+            Transition(name[t.source], t.label, name[t.target])
+            for t in automaton.transitions
+            if t.label.kind is not LabelKind.INTERNAL or name[t.source] != name[t.target]
+        ),
+        initial=frozenset(name[state] for state in automaton.initial),
         hierarchy=automaton.hierarchy,
     )
 
@@ -332,10 +323,19 @@ def quotient(automaton: Automaton, partition: Partition) -> Automaton:
 # deleting violating pairs until stable.
 
 
-def _oracle_closure(states, internal_edges):
+def weak_bisim_relation(
+    automaton: Automaton, max_states: int = 40, strict_internal: bool = False
+) -> frozenset[tuple[str, str]]:
+    """Greatest weak bisimulation on one automaton's state set (test oracle)."""
+    if len(automaton.states) > max_states:
+        raise OracleLimitError(
+            f"oracle limited to {max_states} states, got {len(automaton.states)}"
+        )
+    states = sorted(automaton.states)
     closure = {q: {q} for q in states}
-    for src, dst in internal_edges:
-        closure[src].add(dst)
+    for src, label, dst in automaton.transitions:
+        if label.kind is LabelKind.INTERNAL:
+            closure[src].add(dst)
     changed = True
     while changed:
         changed = False
@@ -346,14 +346,8 @@ def _oracle_closure(states, internal_edges):
             if grown - closure[q]:
                 closure[q] |= grown
                 changed = True
-    return closure
-
-
-def _oracle_relation(states, transitions, strict_internal):
-    internal_edges = [(s, t) for (s, l, t) in transitions if l.kind is LabelKind.INTERNAL]
-    closure = _oracle_closure(states, internal_edges)
-    outgoing: dict[object, list[tuple[Label, object]]] = {q: [] for q in states}
-    for src, label, dst in transitions:
+    outgoing: dict[str, list[tuple[Label, str]]] = {q: [] for q in states}
+    for src, label, dst in automaton.transitions:
         outgoing[src].append((label, dst))
 
     def weak_moves(state, label):
@@ -383,45 +377,4 @@ def _oracle_relation(states, transitions, strict_internal):
                 relation.discard(pair)
                 relation.discard((p, q))
                 changed = True
-    return relation
-
-
-def weak_bisim_relation(
-    automaton: Automaton, max_states: int = 40, strict_internal: bool = False
-) -> frozenset[tuple[str, str]]:
-    """Greatest weak bisimulation on one automaton's state set (test oracle)."""
-    if len(automaton.states) > max_states:
-        raise OracleLimitError(
-            f"oracle limited to {max_states} states, got {len(automaton.states)}"
-        )
-    triples = [(t.source, t.label, t.target) for t in automaton.transitions]
-    relation = _oracle_relation(sorted(automaton.states), triples, strict_internal)
     return frozenset(relation)
-
-
-def weak_bisim_oracle(
-    a: Automaton,
-    b: Automaton,
-    max_states: int = 40,
-    strict_internal: bool = False,
-) -> bool:
-    """Decide weak bisimilarity of two automata by greatest-fixpoint search.
-
-    Requires equal hierarchy leaf-name sets (labels must range over the same
-    component instances to be comparable) and a combined state count within
-    ``max_states``.
-    """
-    if a.hierarchy.leaf_names() != b.hierarchy.leaf_names():
-        raise ValidationError("automata have different hierarchy leaf sets")
-    if len(a.states) + len(b.states) > max_states:
-        raise OracleLimitError(
-            f"oracle limited to {max_states} combined states, "
-            f"got {len(a.states) + len(b.states)}"
-        )
-    states = [(0, q) for q in sorted(a.states)] + [(1, q) for q in sorted(b.states)]
-    triples = [((0, t.source), t.label, (0, t.target)) for t in a.transitions]
-    triples += [((1, t.source), t.label, (1, t.target)) for t in b.transitions]
-    relation = _oracle_relation(states, triples, strict_internal)
-    return any(
-        ((0, qa), (1, qb)) in relation for qa in a.initial for qb in b.initial
-    )

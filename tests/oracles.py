@@ -2,9 +2,11 @@
 
 Each oracle deliberately takes a different route than the library code it
 checks: set-comprehension enumeration for composition, plain BFS for
-reachability, naive set fixpoints for silent closure and weak moves,
-exact rational arithmetic for the Gini coefficient, mpmath for logs and tail
-probabilities, and grid search for the logistic MLE.
+reachability, naive set fixpoints for silent closure and weak moves, the
+library's brute-force ``weak_bisim_relation`` (not the refinement engine) on
+a disjoint union to compare two automata, exact rational arithmetic for the
+Gini coefficient, mpmath for logs and tail probabilities, and grid search
+for the logistic MLE.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ from typing import Mapping
 import mpmath as mp
 import numpy as np
 
-from ciakit import Automaton, IoSets, Label, LabelKind, Partition, Transition
+from ciakit import (
+    Automaton,
+    IoSets,
+    Label,
+    LabelKind,
+    Partition,
+    Transition,
+    ValidationError,
+    weak_bisim_relation,
+)
 
 SilentClosure = Mapping[str, frozenset[str]]
 
@@ -161,6 +172,38 @@ def refine_step(
             if part:
                 out.append(part)
     return Partition.from_blocks(out)
+
+
+def weak_bisim_oracle(
+    a: Automaton,
+    b: Automaton,
+    max_states: int = 40,
+    strict_internal: bool = False,
+) -> bool:
+    """Weak bisimilarity of two automata by ``weak_bisim_relation`` on their
+    disjoint union (states tagged ``0.`` and ``1.``): some initial state of
+    ``a`` must be related to some initial state of ``b``.
+
+    Labels must range over the same component instances, so the hierarchy
+    leaf sets must be equal; ``max_states`` bounds the union's state count.
+    """
+    if a.hierarchy.leaf_names() != b.hierarchy.leaf_names():
+        raise ValidationError("automata have different hierarchy leaf sets")
+    tagged = [(0, a), (1, b)]
+    union = Automaton(
+        name="union",
+        states=frozenset(f"{tag}.{q}" for tag, x in tagged for q in x.states),
+        actions=a.actions | b.actions,
+        transitions=frozenset(
+            Transition(f"{tag}.{t.source}", t.label, f"{tag}.{t.target}")
+            for tag, x in tagged
+            for t in x.transitions
+        ),
+        initial=frozenset(f"{tag}.{q}" for tag, x in tagged for q in x.initial),
+        hierarchy=a.hierarchy,
+    )
+    relation = weak_bisim_relation(union, max_states, strict_internal)
+    return any((f"0.{qa}", f"1.{qb}") in relation for qa in a.initial for qb in b.initial)
 
 
 def gini_oracle(values) -> Fraction | None:

@@ -32,7 +32,6 @@ from ciakit import (
     run_experiment,
     run_pair,
     threshold_x,
-    weak_bisim_oracle,
     weak_bisim_relation,
     write_corpus,
 )
@@ -40,7 +39,13 @@ from ciakit.experiment import rows_to_csv
 from ciakit.generate import SplitMix64
 from ciakit.regress import lr_p_value
 from conftest import aut, random_automaton
-from oracles import beta_oracle, compose_oracle, gini_oracle, logistic_grid_oracle
+from oracles import (
+    beta_oracle,
+    compose_oracle,
+    gini_oracle,
+    logistic_grid_oracle,
+    weak_bisim_oracle,
+)
 
 import numpy as np
 

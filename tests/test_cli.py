@@ -9,7 +9,9 @@ from ciakit import (
     ExperimentRow,
     GenParams,
     IoSets,
+    compose,
     compose_pairwise_reduce,
+    default_io_sets,
     generate_primitive,
     metrics_record,
     parse_automata,
@@ -20,6 +22,7 @@ from ciakit import (
 )
 from ciakit.experiment import rows_from_csv, rows_to_csv
 from conftest import aut, handshake_pair
+from oracles import weak_bisim_oracle
 
 MINIMAL = """\
 automaton M
@@ -43,6 +46,16 @@ def pair_file(tmp_path):
     a, b = handshake_pair()
     path = tmp_path / "pair.cia"
     path.write_text(serialize_automaton(a) + serialize_automaton(b), encoding="utf-8")
+    return path
+
+
+def _three_components(tmp_path, c_label):
+    """A sends m to B; C has one move on ``c_label``; all three in one file."""
+    a = aut("A", ("A",), ["a0", "a1"], [("a0", ("A", "m", None), "a1")])
+    b = aut("B", ("B",), ["b0", "b1"], [("b0", (None, "m", "B"), "b1")])
+    c = aut("C", ("C",), ["c0", "c1"], [("c0", c_label, "c1")])
+    path = tmp_path / "three.cia"
+    path.write_text("".join(serialize_automaton(x) for x in (a, b, c)), encoding="utf-8")
     return path
 
 
@@ -99,6 +112,26 @@ class TestComposeRefine:
         assert main(["compose", str(pair_file), "--io", "closed", "--pairwise"]) == 0
         out = capsys.readouterr().out
         assert "states r0\n" in out
+
+    def test_compose_pairwise_open_io_on_action_of_a_later_component(self, tmp_path, capsys):
+        # only C uses w: the first step (A with B) must not be given w
+        path = _three_components(tmp_path, (None, "w", "C"))
+        assert main(["compose", str(path), "--pairwise"]) == 0
+        folded = parse_automaton(capsys.readouterr().out)
+        components = parse_automata(path.read_text(encoding="utf-8"))
+        io = default_io_sets(components)
+        assert weak_bisim_oracle(folded, reachable(compose(components, io)))
+
+    def test_compose_pairwise_provided_action_of_a_later_component(self, tmp_path, capsys):
+        # --provided w names an output only C has, which n-ary compose accepts
+        path = _three_components(tmp_path, ("C", "w", None))
+        args = ["compose", str(path), "--provided", "w"]
+        assert main(args) == 0
+        nary = reachable(parse_automaton(capsys.readouterr().out))
+        assert main([*args, "--pairwise"]) == 0
+        folded = parse_automaton(capsys.readouterr().out)
+        assert "(C,w,-)" in {t.label.render() for t in folded.transitions}
+        assert weak_bisim_oracle(folded, nary)
 
     def test_refine(self, tmp_path, capsys):
         chain = aut(

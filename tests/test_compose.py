@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciakit import (
     GenParams,
@@ -14,10 +16,9 @@ from ciakit import (
     partition_refine,
     quotient,
     reachable,
-    weak_bisim_oracle,
 )
 from conftest import aut, handshake_pair
-from oracles import bfs_reachable_oracle, compose_oracle
+from oracles import bfs_reachable_oracle, compose_oracle, weak_bisim_oracle
 
 
 class TestCompose:
@@ -168,3 +169,52 @@ class TestPairwiseReduce:
         nary = reachable(compose([a, b, c], io))
         assert len(nary.states) <= 30
         assert weak_bisim_oracle(folded, nary)
+
+    def test_closed_strict_keeps_sync_with_a_later_component(self):
+        # A outputs m to C and B is idle: the first step must keep A's output
+        # open for C, or the fold loses the synchronization (A,m,C)
+        a = aut("A", ("A",), ["a0", "a1"], [("a0", ("A", "m", None), "a1")])
+        b = aut("B", ("B",), ["b0"])
+        c = aut("C", ("C",), ["c0", "c1"], [("c0", (None, "m", "C"), "c1")])
+        io = IoSets.closed()
+        folded = compose_pairwise_reduce([a, b, c], io, strict_internal=True)
+        nary = reachable(compose([a, b, c], io))
+        assert {t.label for t in folded.transitions} == {Label("A", "m", "C")}
+        assert weak_bisim_oracle(folded, nary, strict_internal=True)
+
+    def test_io_action_no_component_declares_is_rejected(self):
+        comps = [aut(n, (n,), ["s0"]) for n in ("A", "B", "C")]
+        with pytest.raises(ValidationError, match="unknown actions"):
+            compose_pairwise_reduce(comps, IoSets(frozenset({"zz"}), frozenset()))
+
+
+NAMES = ("A", "B", "C", "D")
+ACTIONS = ("m", "n", "w")
+
+
+@st.composite
+def fold_components(draw):
+    """3-4 one-instance components of 1-3 states (1-2 for four) over m, n, w.
+
+    Each component moves on a few of its own input, output and internal
+    labels, so some actions are used only by a later component.
+    """
+    k = draw(st.integers(3, 4))
+    components = []
+    for name in NAMES[:k]:
+        states = [f"{name.lower()}{i}" for i in range(draw(st.integers(1, 6 - k)))]
+        labels = [Label(name, "t", name)]
+        labels += [Label(None, a, name) for a in ACTIONS] + [Label(name, a, None) for a in ACTIONS]
+        edge = st.tuples(st.sampled_from(states), st.sampled_from(labels), st.sampled_from(states))
+        components.append(aut(name, (name,), states, draw(st.lists(edge, max_size=3))))
+    return components
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(components=fold_components())
+def test_pairwise_fold_weakly_bisimilar_to_nary(closed, components):
+    io = IoSets.closed() if closed else default_io_sets(components)
+    folded = compose_pairwise_reduce(components, io)
+    nary = reachable(compose(components, io))
+    assert weak_bisim_oracle(folded, nary, max_states=60)

@@ -21,11 +21,10 @@ from ciakit import (
     quotient,
     reachable,
     serialize_automaton,
-    weak_bisim_oracle,
     weak_bisim_relation,
 )
 from conftest import aut, handshake_pair, random_automaton
-from oracles import refine_step, silent_closure, splitter, weak_targets
+from oracles import refine_step, silent_closure, splitter, weak_bisim_oracle, weak_targets
 
 TAU = Label("A", "t", "A")
 IN_A = Label(None, "a", "A")
@@ -262,6 +261,20 @@ class TestQuotient:
         a = branching()
         q = quotient(a, partition_refine(a))
         assert q.states == {"r0", "r1", "r2"}
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [{"s0", "s1"}, {"s2"}],  # s3 missing; it has no transition
+            [{"s0", "s1"}, {"s2", "s3"}, {"x"}],  # x is no state
+        ],
+        ids=["missing", "stray"],
+    )
+    def test_partition_must_cover_exactly_the_states(self, blocks):
+        a = aut(states=["s0", "s1", "s2", "s3"], trans=[("s0", TAU, "s1"), ("s1", IN_A, "s2")])
+        part = Partition.from_blocks(frozenset(block) for block in blocks)
+        with pytest.raises(ValidationError, match="partition does not cover"):
+            quotient(a, part)
 
 
 def oracle_classes(a, strict_internal=False):
