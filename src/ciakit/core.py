@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
@@ -236,16 +236,9 @@ class Automaton:
         actions: Iterable[str] = (),
     ) -> "Automaton":
         """Build an automaton, inferring ``actions`` from the transitions."""
-        trans = frozenset(t if isinstance(t, Transition) else Transition(*t) for t in transitions)
-        used = {t.label.action for t in trans}
-        return cls(
-            name=name,
-            states=frozenset(states),
-            actions=frozenset(actions) | used,
-            transitions=trans,
-            initial=frozenset(initial),
-            hierarchy=hierarchy,
-        )
+        transitions = list(transitions)
+        actions = {*actions, *(label.action for _, label, _ in transitions)}
+        return cls(name, states, actions, transitions, initial, hierarchy)
 
     def sorted_states(self) -> list[str]:
         return sorted(self.states)
@@ -304,12 +297,8 @@ def reachable(automaton: Automaton) -> Automaton:
                 queue.append(nxt)
     if seen == automaton.states:
         return automaton
-    kept = frozenset(t for t in automaton.transitions if t.source in seen and t.target in seen)
-    return Automaton(
-        name=automaton.name,
-        states=frozenset(seen),
-        actions=automaton.actions,
-        transitions=kept,
-        initial=automaton.initial,
-        hierarchy=automaton.hierarchy,
+    return replace(
+        automaton,
+        states=seen,
+        transitions=(t for t in automaton.transitions if t.source in seen and t.target in seen),
     )

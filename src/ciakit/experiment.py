@@ -275,18 +275,24 @@ def run_experiment(
     if workers <= 1:
         return [_run_file(job) for job in jobs]
     rows = []
-    broken = False
+    broken = None
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_file, job) for job in jobs]
+        futures = []
+        for job in jobs:
+            try:
+                futures.append(pool.submit(_run_file, job))
+            except BrokenProcessPool as exc:  # this pair and the later ones stay unsubmitted
+                broken = exc
+                break
         for job, future in zip(jobs, futures):
             try:
                 rows.append(future.result())
             except BrokenProcessPool as exc:  # a worker died: its pairs and the queued ones
-                if not broken:
-                    _log.error("worker pool broke (%s); unfinished pairs become error rows", exc)
-                    broken = True
+                broken = broken or exc
                 rows.append(_row(job[1], "error"))
-    return rows
+    if broken:
+        _log.error("worker pool broke (%s); unfinished pairs become error rows", broken)
+    return rows + [_row(job[1], "error") for job in jobs[len(rows):]]
 
 
 def _band_summary(values: list[float]) -> dict:

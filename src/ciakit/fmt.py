@@ -13,8 +13,10 @@ A document holds one or more blocks::
 
 ``#`` starts a comment; tokens are whitespace-separated except inside the
 hierarchy expression.  The action set is inferred from the transitions plus
-the optional ``actions`` line.  Serialization is canonical (sorted states,
-initial, actions and transitions), so parse/serialize round-trips are stable.
+the optional ``actions`` line.  Each distinct label token in a block is
+checked once, against the hierarchy in force where it first occurs.
+Serialization is canonical (sorted states, initial, actions and
+transitions), so parse/serialize round-trips are stable.
 """
 
 from __future__ import annotations
@@ -76,23 +78,27 @@ class _Block:
         self.name = name
         self.line = line
         self.hierarchy: Hierarchy | None = None
-        self.states: list[str] = []
-        self.state_set: set[str] = set()
+        self.states: set[str] = set()
         self.initial: list[str] = []
         self.actions: list[str] = []
+        self.labels: dict[str, Label] = {}  # tokens checked against ``hierarchy``
         self.transitions: list[Transition] = []
 
 
-def _parse_label(token: str, line: int, column: int) -> Label:
-    """Split ``(src,action,dst)`` by shape; ``Label`` validates the words."""
+def _parse_label(token: str, line: int, column: int, components: frozenset[str]) -> Label:
+    """Check a ``(src,action,dst)`` token's shape, words and component names."""
     parts = token[1:-1].split(",") if token[:1] == "(" and token[-1:] == ")" else ()
     if len(parts) != 3:
         raise FormatError(f"malformed label {token!r}", line, column)
     src, action, dst = parts
     try:
-        return Label(None if src == "-" else src, action, None if dst == "-" else dst)
+        label = Label(None if src == "-" else src, action, None if dst == "-" else dst)
     except ValidationError as exc:
         raise FormatError(str(exc), line, column) from exc
+    for name in (label.src, label.dst):
+        if name is not None and name not in components:
+            raise FormatError(f"unknown component name {name!r} in label {label}", line, column)
+    return label
 
 
 def parse_automata(text: str) -> list[Automaton]:
@@ -122,12 +128,12 @@ def parse_automata(text: str) -> list[Automaton]:
                 block.hierarchy = parse_hierarchy(rest[1].strip())
             except (FormatError, ValidationError) as exc:
                 raise FormatError(str(exc), lineno) from exc
+            block.labels.clear()
         elif keyword == "states":
             for state in args:
-                if state in block.state_set:
+                if state in block.states:
                     raise FormatError(f"duplicate state id {state!r}", lineno)
-                block.state_set.add(state)
-                block.states.append(state)
+                block.states.add(state)
         elif keyword == "initial":
             block.initial.extend(args)
         elif keyword == "actions":
@@ -135,21 +141,17 @@ def parse_automata(text: str) -> list[Automaton]:
         elif keyword == "trans":
             if len(args) != 3:
                 raise FormatError("expected: trans <id> (<src>,<action>,<dst>) <id>", lineno)
-            source, label_token, target = args
-            column = body.find(label_token) + 1
-            label = _parse_label(label_token, lineno, column)
+            source, token, target = args
             for endpoint in (source, target):
-                if endpoint not in block.state_set:
+                if endpoint not in block.states:
                     raise FormatError(f"undeclared state {endpoint!r} in transition", lineno)
             if block.hierarchy is None:
                 raise FormatError("hierarchy must be declared before transitions", lineno)
-            components = block.hierarchy.leaf_names()
-            for annotation in (label.src, label.dst):
-                if annotation is not None and annotation not in components:
-                    raise FormatError(
-                        f"unknown component name {annotation!r} in label {label}", lineno, column
-                    )
-            block.transitions.append(Transition(source, label, target))
+            if token not in block.labels:
+                block.labels[token] = _parse_label(
+                    token, lineno, body.find(token) + 1, block.hierarchy.leaf_names()
+                )
+            block.transitions.append(Transition(source, block.labels[token], target))
         elif keyword == "end":
             if block.hierarchy is None:
                 raise FormatError(f"automaton {block.name!r} has no hierarchy", lineno)

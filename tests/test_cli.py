@@ -12,6 +12,7 @@ from ciakit import (
     compose,
     compose_pairwise_reduce,
     default_io_sets,
+    fit_logistic,
     generate_primitive,
     metrics_record,
     parse_automata,
@@ -393,14 +394,83 @@ def test_generate_needs_out_dir(capsys):
     assert "--out" in capsys.readouterr().err
 
 
-def _regress_csv(path) -> None:
+REGRESS_OUTCOMES = [0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0]
+
+
+def _regress_row(i: int, **fields) -> ExperimentRow:
+    """A hand-made ok row with ``beta = 1 + i/10``; ``fields`` override any column."""
     base = ExperimentRow("p", 2, 2, 4, 4, 0, 1.0, 0.0, 0.0, 4, 0, 0.0, 0.0, 0, 0, 0)
-    outcomes = [0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0]
-    rows = [
-        dataclasses.replace(base, pair_id=f"p{i}", beta=1.0 + i / 10, success=success)
-        for i, success in enumerate(outcomes)
-    ]
+    return dataclasses.replace(base, **{"pair_id": f"p{i}", "beta": 1.0 + i / 10, **fields})
+
+
+def _regress_csv(path) -> None:
+    rows = [_regress_row(i, success=success) for i, success in enumerate(REGRESS_OUTCOMES)]
     path.write_text(rows_to_csv(rows), encoding="utf-8")
+
+
+class TestRegressResponses:
+    """``regress`` picks its response and its rows as README documents."""
+
+    @staticmethod
+    def _fit(rows, tmp_path, capsys, *argv) -> dict:
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text(rows_to_csv(rows), encoding="utf-8")
+        assert main(["regress", "--csv", str(csv_path), "--x", "beta", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def _expected(payload, xs, ys) -> None:
+        fit = fit_logistic(xs, ys)
+        assert (payload["n"], payload["a"], payload["b"]) == (len(xs), fit.a, fit.b)
+
+    def test_over5min_reads_the_over_5min_column(self, tmp_path, capsys):
+        # elapsed_ms stays 0, so only the column can give the outcomes
+        rows = [_regress_row(i, over_5min=y) for i, y in enumerate(REGRESS_OUTCOMES)]
+        payload = self._fit(rows, tmp_path, capsys, "--y", "over5min")
+        assert payload["y"] == "over5min"
+        self._expected(payload, [row.beta for row in rows], REGRESS_OUTCOMES)
+
+    def test_over_ms_thresholds_elapsed_ms(self, tmp_path, capsys):
+        # the over_5min column says the opposite; an elapsed_ms equal to the
+        # threshold is not over it
+        rows = [
+            _regress_row(i, elapsed_ms=251.0 if y else 250.0, over_5min=1 - y)
+            for i, y in enumerate(REGRESS_OUTCOMES)
+        ]
+        payload = self._fit(rows, tmp_path, capsys, "--y", "over5min", "--over-ms", "250")
+        self._expected(payload, [row.beta for row in rows], REGRESS_OUTCOMES)
+
+    @pytest.mark.parametrize("response", ["success", "over5min"])
+    def test_error_and_na_rows_skipped_timeouts_count_for_over5min(
+        self, response, tmp_path, capsys
+    ):
+        kept = [_regress_row(i, success=y, over_5min=y) for i, y in enumerate(REGRESS_OUTCOMES)]
+        timeout = _regress_row(20, status="timeout", timed_out=1, over_5min=1)
+        rows = [
+            *kept,
+            _regress_row(21, status="error", success=1, over_5min=1),
+            _regress_row(22, beta=None, success=1, over_5min=1),
+            timeout,
+        ]
+        payload = self._fit(rows, tmp_path, capsys, "--y", response)
+        xs, ys = [row.beta for row in kept], list(REGRESS_OUTCOMES)
+        if response == "over5min":
+            xs.append(timeout.beta)
+            ys.append(1)
+        self._expected(payload, xs, ys)
+
+    def test_csv_lacking_a_column_is_data_error(self, tmp_path, capsys):
+        table = list(csv.reader(rows_to_csv([_regress_row(0)]).splitlines()))
+        dropped = table[0].index("gini_in")
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text(
+            "\n".join(",".join(r[:dropped] + r[dropped + 1:]) for r in table) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["regress", "--csv", str(csv_path), "--x", "beta", "--y", "success"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "experiment CSV lacks columns ['gini_in']" in captured.err
 
 
 @pytest.mark.parametrize("kept", [

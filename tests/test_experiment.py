@@ -187,6 +187,38 @@ class TestRunExperiment:
         assert len(caplog.records) == 1
         assert "a worker was killed" in caplog.text
 
+    def test_pool_broken_during_submission_turns_unsubmitted_pairs_into_error_rows(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        corpus = tmp_path / "corpus"
+        write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 4), corpus)
+        expected = run_experiment(corpus, deterministic_timing=True)
+        submitted = []
+
+        class PoolBreakingOnThirdSubmit(Executor):
+            """Runs jobs in-process; the third ``submit`` finds the pool broken."""
+
+            def __init__(self, max_workers=None):
+                pass
+
+            def submit(self, fn, job):
+                submitted.append(job[1])
+                if len(submitted) == 3:
+                    raise BrokenProcessPool("a worker was killed")
+                future = Future()
+                future.set_result(fn(job))
+                return future
+
+        monkeypatch.setattr("ciakit.experiment.ProcessPoolExecutor", PoolBreakingOnThirdSubmit)
+        with caplog.at_level(logging.ERROR, logger="ciakit.experiment"):
+            rows = run_experiment(corpus, workers=2, deterministic_timing=True)
+        assert submitted == ["pair00000", "pair00001", "pair00002"]
+        assert [r.pair_id for r in rows] == [r.pair_id for r in expected]
+        assert [r.status for r in rows] == ["ok", "ok", "error", "error"]
+        assert rows[:2] == expected[:2]
+        assert len(caplog.records) == 1
+        assert "a worker was killed" in caplog.text
+
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(CiaError, match="no .cia files"):
             run_experiment(tmp_path)

@@ -106,6 +106,71 @@ def test_bad_label_located(token):
     assert (err.value.line, err.value.column) == (5, len("trans s0 ") + 1)
 
 
+# (document, message, line, column) for each block-structure error
+STRUCTURE_ERRORS = [
+    ("automaton M N\nend\n", "expected: automaton <name>", 1, None),
+    ("automaton M\nhierarchy (A)\nautomaton N\n", "automaton 'M' not closed with 'end'", 3, None),
+    ("states s0\n", "expected 'automaton', got 'states'", 1, None),
+    ("automaton M\nhierarchy\n", "expected: hierarchy <expr>", 2, None),
+    (
+        MINIMAL.replace("trans s0 (-,m,A) s1", "trans s0 (-,m,A)"),
+        "expected: trans <id> (<src>,<action>,<dst>) <id>",
+        5,
+        None,
+    ),
+    (
+        "automaton M\nstates s0 s1\ninitial s0\ntrans s0 (-,m,A) s1\nend\n",
+        "hierarchy must be declared before transitions",
+        4,
+        None,
+    ),
+    ("automaton M\nstates s0\ninitial s0\nend\n", "automaton 'M' has no hierarchy", 4, None),
+    ("automaton M\nstate s0\n", "unknown keyword 'state'", 2, None),
+    (
+        "automaton M\nhierarchy (A B)\nstates s0 s1\ninitial s0\ntrans s0 (-,m,B) s1\n"
+        "hierarchy (A)\ntrans s1 (-,m,B) s0\nend\n",
+        "unknown component name 'B' in label (-,m,B)",
+        7,
+        len("trans s1 ") + 1,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,message,line,column",
+    STRUCTURE_ERRORS,
+    ids=[
+        "automaton-arity", "automaton-unclosed", "before-automaton", "hierarchy-empty",
+        "trans-arity", "trans-before-hierarchy", "end-without-hierarchy", "unknown-keyword",
+        "redeclared-hierarchy",
+    ],
+)
+def test_structure_errors_located(doc, message, line, column):
+    with pytest.raises(FormatError) as err:
+        parse_automata(doc)
+    assert (err.value.line, err.value.column) == (line, column)
+    where = f"line {line}" + (f", col {column}" if column is not None else "")
+    assert str(err.value) == f"{where}: {message}"
+
+
+@pytest.mark.parametrize("token", ["(-,m)", "(-,m,B)"])
+def test_label_checked_after_its_endpoints(token):
+    with pytest.raises(FormatError, match="line 5: undeclared state 's9' in transition"):
+        parse_automaton(MINIMAL.replace("trans s0 (-,m,A) s1", f"trans s0 {token} s9"))
+
+
+def test_label_checked_after_the_hierarchy():
+    doc = "automaton M\nstates s0 s1\ninitial s0\ntrans s0 (-,m) s1\nend\n"
+    with pytest.raises(FormatError, match="line 4: hierarchy must be declared before transitions"):
+        parse_automaton(doc)
+
+
+def test_repeated_label_token_is_one_object():
+    doc = MINIMAL.replace("trans s0 (-,m,A) s1", "trans s0 (-,m,A) s1\ntrans s1 (-,m,A) s0")
+    first, second = parse_automaton(doc).transitions
+    assert first.label is second.label
+
+
 def test_actions_line_extends_alphabet():
     doc = MINIMAL.replace("initial s0", "initial s0\nactions n m")
     a = parse_automaton(doc)
