@@ -21,6 +21,7 @@ from .core import Automaton
 from .dot import export_dot
 from .errors import CiaError
 from .experiment import (
+    OVER_MS,
     reduction_report,
     rows_from_csv,
     rows_to_csv,
@@ -188,14 +189,8 @@ def _cmd_regress(args) -> int:
         x = getattr(row, args.x)
         if x is None:
             continue
-        if args.y == "success":
-            y = row.success
-        elif args.over_ms is not None:
-            y = 1 if row.elapsed_ms > args.over_ms else 0
-        else:
-            y = row.over_5min
         xs.append(float(x))
-        ys.append(int(y))
+        ys.append(row.success if args.y == "success" else int(row.elapsed_ms > args.over_ms))
     fit = fit_logistic(xs, ys)
     report = classify(fit, xs, ys, cutoff=args.cutoff)
     payload = {
@@ -295,8 +290,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", required=True, choices=("beta", "states", "gini_in", "gini_out"))
     p.add_argument("--y", required=True, choices=("success", "over5min"))
     p.add_argument("--cutoff", type=float, default=0.5)
-    p.add_argument("--over-ms", type=int, default=None,
-                   help="custom elapsed_ms threshold for the over5min response")
+    p.add_argument("--over-ms", type=int, default=OVER_MS,
+                   help="over5min means elapsed_ms above this (default %(default)s, five minutes)")
     p.set_defaults(func=_cmd_regress)
 
     p = sub.add_parser("dot", parents=[out], help="Graphviz DOT export")

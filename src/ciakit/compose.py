@@ -206,7 +206,7 @@ class _Product:
             name="".join(a.name for a in self.components),
             states=frozenset(tokens),
             actions=self.actions,
-            transitions=frozenset(
+            transitions=(
                 Transition(tokens[s], labels[lid], tokens[d]) for s, lid, d in indexed.triples
             ),
             initial=frozenset(self.token(code) for code in self.initial_codes()),

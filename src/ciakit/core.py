@@ -252,9 +252,8 @@ class Indexed(NamedTuple):
 
     States are ``0 .. n-1``, ``labels`` is the label table, and ``triples``
     holds the distinct transitions as ``(source, label id, target)``.
-    Composition, metrics, refinement and quotient all work on this form;
-    state names are made or read only where an ``Automaton`` is built or
-    taken apart.
+    Composition, metrics and refinement work on this form; state names are
+    made or read only where an ``Automaton`` is built or taken apart.
     """
 
     n: int

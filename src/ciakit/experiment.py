@@ -8,9 +8,9 @@ pair the pipeline runs, on one integer-indexed form (``core.Indexed``):
    reachability pruning in one pass; no composite state is named);
 3. structural metrics of that reachable composite;
 4. timed refinement of the indexed form (``refine.refine_indexed``);
-5. count the quotient's states and surviving internal transitions (the
-   rule of ``refine.quotient``, over block ids instead of block names: an
-   internal transition survives when it crosses two blocks);
+5. count the quotient's states and the internal transitions it keeps
+   (``refine.quotient_triples``, the rule ``refine.quotient`` applies to
+   names, here over block ids);
 6. one CSV row.
 
 Row order follows sorted file names regardless of worker count.  Refinement
@@ -47,7 +47,7 @@ from .core import Automaton
 from .errors import CiaError, RefinementTimeout
 from .fmt import parse_automata
 from .metrics import MetricsRecord, indexed_record
-from .refine import RefineStats, refine_indexed
+from .refine import RefineStats, quotient_triples, refine_indexed
 
 __all__ = [
     "ExperimentRow",
@@ -173,12 +173,9 @@ def run_pair(
     try:
         block, refined = refine_indexed(composite, timeout, strict_internal, stats)
         internal = composite.internal()
-        # the internal transitions quotient keeps, counted without building the rest
-        left = len({
-            (block[src], lid, block[dst])
-            for src, lid, dst in composite.triples
-            if internal[lid] and block[src] != block[dst]
-        })
+        # count the internal transitions the quotient keeps; the rest are not built
+        silent = (t for t in composite.triples if internal[t[1]])
+        left = len(quotient_triples(silent, block, internal))
         status = "ok"
     except RefinementTimeout:
         status, refined, left = "timeout", None, 0

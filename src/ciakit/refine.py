@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
-from .core import Automaton, Indexed, Label, LabelKind, Transition
+from .core import Automaton, Indexed, Label, LabelKind
 from .errors import OracleLimitError, RefinementTimeout, ValidationError
 
 __all__ = [
@@ -93,7 +93,7 @@ class Partition:
 
 @dataclass
 class RefineStats:
-    """Deterministic work counters filled in by partition_refine.
+    """Deterministic work counters filled in by ``refine_indexed``.
 
     ``sweeps`` counts signature rounds, ``refine_steps`` the saturated label
     rows computed (the default semantics' shared closure row included), and
@@ -288,29 +288,40 @@ def partition_refine(
     return Partition.from_blocks(frozenset(group) for group in members)
 
 
-def quotient(automaton: Automaton, partition: Partition) -> Automaton:
-    """Collapse each block to one state, dropping silent self-loops.
+def quotient_triples(triples: Iterable[tuple], block, internal) -> set[tuple]:
+    """The distinct ``(block of source, label, block of target)`` triples a quotient keeps.
 
-    Block states are renamed ``r0, r1, ...`` in canonical block order.  A
-    transition survives, renamed, unless it is internal and both its ends lie
-    in one block.  The hierarchy is preserved, so the quotient stays
-    comparable with the original.  Dropping the loops is exact only in the
-    default semantics; a dropped loop may carry an internal label that
-    ``strict_internal`` needs.  Raises ValidationError unless the partition
-    covers exactly the automaton's states.
+    ``block`` maps states to blocks, and ``internal[label]`` is true for an
+    internal label (the ``Indexed.internal()`` list for label ids, a dict for
+    ``Label`` objects).  A transition is dropped when it is internal and its ends
+    share a block: exact in the default semantics, but ``strict_internal`` may
+    need the internal label of a dropped loop.
+    """
+    return {
+        (block[src], label, block[dst])
+        for src, label, dst in triples
+        if block[src] != block[dst] or not internal[label]
+    }
+
+
+def quotient(automaton: Automaton, partition: Partition) -> Automaton:
+    """Collapse each block to one state, keeping the ``quotient_triples``.
+
+    Block states are renamed ``r0, r1, ...`` in canonical block order, and the
+    hierarchy is kept, so the quotient stays comparable with the original.
+    Raises ValidationError unless the partition covers exactly the states.
     """
     name = {state: f"r{i}" for i, block in enumerate(partition.blocks) for state in block}
     if name.keys() != automaton.states:
         raise ValidationError("partition does not cover exactly the automaton's states")
+    # transitions share label objects: keying by identity hashes each label once
+    labels = {id(label): label for _, label, _ in automaton.transitions}.values()
+    internal = {label: label.kind is LabelKind.INTERNAL for label in labels}
     return Automaton(
         name=automaton.name,
         states=frozenset(name.values()),
         actions=automaton.actions,
-        transitions=frozenset(
-            Transition(name[t.source], t.label, name[t.target])
-            for t in automaton.transitions
-            if t.label.kind is not LabelKind.INTERNAL or name[t.source] != name[t.target]
-        ),
+        transitions=quotient_triples(automaton.transitions, name, internal),
         initial=frozenset(name[state] for state in automaton.initial),
         hierarchy=automaton.hierarchy,
     )

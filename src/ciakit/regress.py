@@ -30,6 +30,9 @@ __all__ = [
 
 # Standardized slopes beyond this are MLE divergence, not signal.
 _SEPARATION_BOUND = 50.0
+# Newton-Raphson converges when the log-likelihood moves less than _TOL.
+_MAX_ITER = 100
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,18 +90,13 @@ def _log_likelihood(a: float, b: float, zs: list[float], ys: list[float]) -> flo
     return -math.fsum(_softplus(-(a + b * z) if y else a + b * z) for z, y in zip(zs, ys))
 
 
-def fit_logistic(
-    xs: Sequence[float],
-    ys: Sequence[int],
-    max_iter: int = 100,
-    tol: float = 1e-10,
-) -> LogisticFit:
+def fit_logistic(xs: Sequence[float], ys: Sequence[int]) -> LogisticFit:
     """Maximum-likelihood fit of the univariate logistic model.
 
     Raises SeparationError when the standardized slope runs past the
     divergence guard (complete or quasi-complete separation: the MLE does
     not exist).  Returns ``converged=False`` if Newton-Raphson failed to
-    reach ``tol`` within ``max_iter`` iterations.
+    reach ``_TOL`` within ``_MAX_ITER`` iterations.
     """
     x = [float(v) for v in xs]
     y = [float(v) for v in ys]
@@ -127,7 +125,7 @@ def fit_logistic(
     converged = False
     iterations = 0
     h00, h01, h11 = 1.0, 0.0, 1.0  # the Hessian [[h00, h01], [h01, h11]]
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         p = [_sigmoid(a_std + b_std * v) for v in z]
         r = [yi - pi for yi, pi in zip(y, p)]
         w = [pi * (1.0 - pi) for pi in p]
@@ -155,7 +153,7 @@ def fit_logistic(
                 "classes are separated, the MLE does not exist"
             )
         ll_new = _log_likelihood(a_std, b_std, z, y)
-        if abs(ll_new - ll) < tol:
+        if abs(ll_new - ll) < _TOL:
             ll = ll_new
             converged = True
             break

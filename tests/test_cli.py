@@ -394,6 +394,14 @@ def test_generate_needs_out_dir(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_generate_kind_mix_needs_three_parts(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["generate", "--pairs", "1", "--out", str(tmp_path), "--kind-mix", "0.5,0.5"])
+    assert err.value.code == 1
+    assert "argument --kind-mix: invalid _parse_mix value: '0.5,0.5'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 REGRESS_OUTCOMES = [0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0]
 
 
@@ -401,6 +409,11 @@ def _regress_row(i: int, **fields) -> ExperimentRow:
     """A hand-made ok row with ``beta = 1 + i/10``; ``fields`` override any column."""
     base = ExperimentRow("p", 2, 2, 4, 4, 0, 1.0, 0.0, 0.0, 4, 0, 0.0, 0.0, 0, 0, 0)
     return dataclasses.replace(base, **{"pair_id": f"p{i}", "beta": 1.0 + i / 10, **fields})
+
+
+def _five_minutes_ms(over: int) -> float:
+    """An ``elapsed_ms`` just past five minutes, or exactly on them (not over)."""
+    return 300_000.5 if over else 300_000.0
 
 
 def _regress_csv(path) -> None:
@@ -423,12 +436,17 @@ class TestRegressResponses:
         fit = fit_logistic(xs, ys)
         assert (payload["n"], payload["a"], payload["b"]) == (len(xs), fit.a, fit.b)
 
-    def test_over5min_reads_the_over_5min_column(self, tmp_path, capsys):
-        # elapsed_ms stays 0, so only the column can give the outcomes
-        rows = [_regress_row(i, over_5min=y) for i, y in enumerate(REGRESS_OUTCOMES)]
+    def test_over5min_defaults_to_five_minutes(self, tmp_path, capsys):
+        # rows on both sides of 300,000 ms, one exactly on it (not over)
+        rows = [
+            _regress_row(i, elapsed_ms=_five_minutes_ms(y), over_5min=y)
+            for i, y in enumerate(REGRESS_OUTCOMES)
+        ]
         payload = self._fit(rows, tmp_path, capsys, "--y", "over5min")
         assert payload["y"] == "over5min"
         self._expected(payload, [row.beta for row in rows], REGRESS_OUTCOMES)
+        explicit = self._fit(rows, tmp_path, capsys, "--y", "over5min", "--over-ms", "300000")
+        assert explicit == payload
 
     def test_over_ms_thresholds_elapsed_ms(self, tmp_path, capsys):
         # the over_5min column says the opposite; an elapsed_ms equal to the
@@ -444,12 +462,16 @@ class TestRegressResponses:
     def test_error_and_na_rows_skipped_timeouts_count_for_over5min(
         self, response, tmp_path, capsys
     ):
-        kept = [_regress_row(i, success=y, over_5min=y) for i, y in enumerate(REGRESS_OUTCOMES)]
-        timeout = _regress_row(20, status="timeout", timed_out=1, over_5min=1)
+        kept = [
+            _regress_row(i, success=y, elapsed_ms=_five_minutes_ms(y), over_5min=y)
+            for i, y in enumerate(REGRESS_OUTCOMES)
+        ]
+        over = {"elapsed_ms": _five_minutes_ms(1), "over_5min": 1}
+        timeout = _regress_row(20, status="timeout", timed_out=1, **over)
         rows = [
             *kept,
-            _regress_row(21, status="error", success=1, over_5min=1),
-            _regress_row(22, beta=None, success=1, over_5min=1),
+            _regress_row(21, status="error", success=1, **over),
+            _regress_row(22, beta=None, success=1, **over),
             timeout,
         ]
         payload = self._fit(rows, tmp_path, capsys, "--y", response)

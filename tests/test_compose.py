@@ -17,6 +17,7 @@ from ciakit import (
     quotient,
     reachable,
 )
+from ciakit.compose import resolve_io
 from conftest import aut, handshake_pair
 from oracles import bfs_reachable_oracle, compose_oracle, weak_bisim_oracle
 
@@ -124,6 +125,10 @@ class TestDefaultIoSets:
         io = default_io_sets([a])
         assert io.provided == frozenset() and io.required == frozenset()
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="^unknown io policy 'half'$"):
+            resolve_io("half", handshake_pair())
+
     def test_single_component_open_labels(self):
         a = aut(
             "A", ("A",), ["s0", "s1"],
@@ -181,6 +186,10 @@ class TestPairwiseReduce:
         nary = reachable(compose([a, b, c], io))
         assert {t.label for t in folded.transitions} == {Label("A", "m", "C")}
         assert weak_bisim_oracle(folded, nary, strict_internal=True)
+
+    def test_needs_two_components(self):
+        with pytest.raises(ValidationError, match="^composition needs at least 2 components$"):
+            compose_pairwise_reduce([aut(states=["s0"])], IoSets.closed())
 
     def test_io_action_no_component_declares_is_rejected(self):
         comps = [aut(n, (n,), ["s0"]) for n in ("A", "B", "C")]

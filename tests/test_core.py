@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,10 @@ class TestHierarchy:
         with pytest.raises(ValidationError):
             Hierarchy()
 
+    def test_children_must_be_hierarchies(self):
+        with pytest.raises(ValidationError, match="hierarchy children must be hierarchies"):
+            Hierarchy.node(Hierarchy.leaf("A"), "B")
+
     def test_render(self):
         assert Hierarchy.leaf("A", "B").render() == "(A B)"
         nested = Hierarchy.node(Hierarchy.leaf("A"), Hierarchy.leaf("B", "C"))
@@ -105,6 +111,23 @@ class TestAutomaton:
                 initial=frozenset({"s0"}),
                 hierarchy=Hierarchy.leaf("A"),
             )
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("states", {"s0", "bad id"}, "invalid state id 'bad id'"),
+            ("transitions", {("s9", Label(None, "m", "A"), "s0")},
+             "transition source 's9' not among states"),
+            ("transitions", {("s0", "(-,m,A)", "s0")}, "transition label must be a Label"),
+            ("hierarchy", None, "automaton requires a hierarchy"),
+        ],
+        ids=["state-id", "source", "label-type", "no-hierarchy"],
+    )
+    def test_invalid_field_rejected(self, field, value, message):
+        fields = dict(name="A", states={"s0"}, actions={"m"}, transitions=(),
+                      initial={"s0"}, hierarchy=Hierarchy.leaf("A"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Automaton(**{**fields, field: value})
 
     def test_extra_actions_kept(self):
         a = aut(states=["s0"], actions=["spare"])

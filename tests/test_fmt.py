@@ -1,15 +1,24 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciakit import (
+    Automaton,
     FormatError,
     GenParams,
     LabelKind,
+    compose,
+    default_io_sets,
+    generate_corpus,
     generate_primitive,
     parse_automata,
     parse_automaton,
     parse_hierarchy,
+    partition_refine,
+    quotient,
+    reachable,
     serialize_automaton,
 )
 from conftest import aut
@@ -198,6 +207,21 @@ def test_parse_hierarchy_shapes():
         parse_hierarchy("(A")
 
 
+@pytest.mark.parametrize(
+    "expr,message",
+    [
+        ("(A-B)", "invalid characters in hierarchy expression '(A-B)'"),
+        ("A", "expected '(' in hierarchy expression 'A'"),
+        ("(A)(B)", "trailing tokens after hierarchy expression '(A)(B)'"),
+    ],
+    ids=["characters", "no-paren", "trailing"],
+)
+def test_parse_hierarchy_errors(expr, message):
+    with pytest.raises(FormatError) as err:
+        parse_hierarchy(expr)
+    assert str(err.value) == message
+
+
 def test_tuple_state_tokens_round_trip():
     a = aut(
         hier=("A", "B"),
@@ -215,10 +239,28 @@ def test_round_trip_is_identity():
     assert serialize_automaton(parse_automaton(text)) == text
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_round_trip_on_generated(seed):
-    a = generate_primitive(GenParams(state_count_range=(2, 10), seed=seed))
+def _generated(seed: int, form: str) -> Automaton:
+    """A primitive; the reachable composite ``((C0)(C1))`` then ``(Z)``, whose
+    states are nested tuple tokens like ``((s0,s1),s2)``; or its quotient."""
+    params = GenParams(state_count_range=(2, 10 if form == "primitive" else 5), seed=seed)
+    if form == "primitive":
+        return generate_primitive(params)
+    first, second = generate_corpus(params, 1)[0]
+    third = generate_primitive(replace(params, seed=seed + 1), name="Z")
+    inner = reachable(compose([first, second], default_io_sets([first, second])))
+    composite = reachable(compose([inner, third], default_io_sets([inner, third])))
+    if form == "composite":
+        return composite
+    return quotient(composite, partition_refine(composite))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(["primitive", "composite", "quotient"]),
+)
+def test_round_trip_on_generated(seed, form):
+    a = _generated(seed, form)
     text = serialize_automaton(a)
     assert parse_automaton(text) == a
     assert serialize_automaton(parse_automaton(text)) == text

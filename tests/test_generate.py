@@ -33,6 +33,10 @@ class TestSplitMix64:
         assert set(draws) <= set(range(3, 8))
         assert len(set(draws)) == 5
 
+    def test_randint_empty_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^empty range \[5, 4\]$"):
+            SplitMix64(0).randint(5, 4)
+
     def test_random_in_unit_interval(self):
         rng = SplitMix64(1)
         assert all(0.0 <= rng.random() < 1.0 for _ in range(100))
@@ -62,6 +66,10 @@ class TestGeneratePrimitive:
         assert len(a.states) == 5
         assert len(a.transitions) == 5
         assert reachable(a) == a
+
+    def test_empty_alphabet_rejected(self):
+        with pytest.raises(ValidationError, match="^alphabet must not be empty$"):
+            generate_primitive(GenParams(seed=1), alphabet=[])
 
     def test_same_seed_same_output(self):
         p = GenParams(seed=71)

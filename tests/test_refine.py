@@ -149,6 +149,20 @@ class TestRefineStep:
         assert counts[-1] - counts[0] <= len(a.states) - 1
 
 
+class TestPartition:
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            ([{"s0"}, set()], "empty partition block"),
+            ([{"s0", "s1"}, {"s1", "s2"}], "partition blocks are not disjoint"),
+        ],
+        ids=["empty", "overlap"],
+    )
+    def test_from_blocks_rejects(self, blocks, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Partition.from_blocks(frozenset(block) for block in blocks)
+
+
 class TestPartitionRefine:
     def test_silent_chain_merges_fully(self):
         part = partition_refine(silent_chain())
