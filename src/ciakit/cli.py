@@ -3,10 +3,11 @@
 Subcommands: parse, compose, refine, metrics, generate, experiment, regress,
 dot.  Each takes ``--out`` (output file, default stdout; for generate, the
 required corpus directory) and only the shared options its handler reads:
-``--timeout`` (compose, refine, experiment), ``--format csv|json`` (metrics,
-experiment), ``--seed`` (generate) and ``--workers`` (experiment); any other
-is a usage error.  Exit codes: 0 success, 1 usage error, 2 data error, 3
-experiment run dominated by refinement timeouts (at least one timed-out row).
+``--timeout`` and ``--strict-internal`` (compose, refine, experiment),
+``--format csv|json`` (metrics, experiment), ``--seed`` (generate) and
+``--workers`` (experiment); any other is a usage error.  Exit codes: 0
+success, 1 usage error, 2 data error, 3 experiment run dominated by
+refinement timeouts (at least one timed-out row).
 """
 
 from __future__ import annotations
@@ -228,6 +229,9 @@ def _build_parser() -> _Parser:
     out = _option("--out", help="output file (default stdout)")
     timeout = _option("--timeout", type=float, default=7200.0, help="refinement budget, seconds")
     fmt = _option("--format", choices=("csv", "json"), default="csv")
+    files = _option("files", nargs="+")
+    strict = _option("--strict-internal", action="store_true",
+                     help="match internal moves by exact label instead of silent closure")
 
     io_opts = argparse.ArgumentParser(add_help=False)
     io_opts.add_argument("--io", choices=("open", "closed"), default="open")
@@ -237,24 +241,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ciakit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[out], help="validate and canonicalize documents")
-    p.add_argument("files", nargs="+")
+    p = sub.add_parser("parse", parents=[out, files], help="validate and canonicalize documents")
     p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("compose", parents=[out, timeout, io_opts], help="product composition")
-    p.add_argument("files", nargs="+")
+    p = sub.add_parser("compose", parents=[out, files, timeout, io_opts, strict],
+                       help="product composition")
     p.add_argument("--pairwise", action="store_true", help="fold pairwise, reducing each step")
-    p.add_argument("--strict-internal", action="store_true")
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("refine", parents=[out, timeout], help="weak-bisimulation reduction")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--strict-internal", action="store_true",
-                   help="match internal moves by exact label instead of silent closure")
+    p = sub.add_parser("refine", parents=[out, files, timeout, strict],
+                       help="weak-bisimulation reduction")
     p.set_defaults(func=_cmd_refine)
 
-    p = sub.add_parser("metrics", parents=[out, fmt], help="structural metrics per automaton")
-    p.add_argument("files", nargs="+")
+    p = sub.add_parser("metrics", parents=[out, files, fmt],
+                       help="structural metrics per automaton")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("generate", help="write a seeded corpus of pairs")
@@ -274,7 +274,7 @@ def _build_parser() -> _Parser:
                    help="route extra edges out of terminal states first")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("experiment", parents=[out, timeout, fmt, io_opts],
+    p = sub.add_parser("experiment", parents=[out, timeout, fmt, io_opts, strict],
                        help="compose/refine every corpus pair into CSV rows")
     p.add_argument("--corpus", help="directory of pair .cia files")
     p.add_argument("--report", metavar="CSV",
@@ -282,7 +282,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1, help="parallel workers")
     p.add_argument("--deterministic-timing", action="store_true",
                    help="record refinement work units instead of wall-clock ms")
-    p.add_argument("--strict-internal", action="store_true")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("regress", parents=[out], help="logistic model over experiment CSV")
@@ -294,8 +293,7 @@ def _build_parser() -> _Parser:
                    help="over5min means elapsed_ms above this (default %(default)s, five minutes)")
     p.set_defaults(func=_cmd_regress)
 
-    p = sub.add_parser("dot", parents=[out], help="Graphviz DOT export")
-    p.add_argument("files", nargs="+")
+    p = sub.add_parser("dot", parents=[out, files], help="Graphviz DOT export")
     p.set_defaults(func=_cmd_dot)
 
     return parser

@@ -39,8 +39,9 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_args, get_type_hints
 
 from .compose import IoSets, reachable_product, resolve_io
 from .core import Automaton
@@ -95,8 +96,11 @@ class ExperimentRow:
 
 CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
-_FLOAT_FIELDS = {"beta", "gini_in", "gini_out", "reduction_ratio", "internal_removed_ratio"}
-_STR_FIELDS = {"pair_id", "status"}
+# each column's declared types: (str,), (int,), (float, NoneType), or (int, float)
+# for elapsed_ms, which holds work units or wall-clock ms
+_COLUMN_TYPES = {
+    name: get_args(hint) or (hint,) for name, hint in get_type_hints(ExperimentRow).items()
+}
 
 
 def _fmt(value) -> str:
@@ -125,11 +129,17 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
     return table_to_csv(CSV_COLUMNS, ([getattr(row, col) for col in CSV_COLUMNS] for row in rows))
 
 
-def _int_or_float(raw: str) -> int | float:
-    try:
-        return int(raw)
-    except ValueError:
-        return float(raw)
+def _read_cell(raw: str, types: tuple[type, ...]):
+    """A cell as the first of its column's types that reads it; ``NA`` is ``None`` if allowed."""
+    if raw == "NA" and type(None) in types:
+        return None
+    kinds = [kind for kind in types if kind is not type(None)]
+    for kind in kinds[:-1]:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    return kinds[-1](raw)
 
 
 def rows_from_csv(text: str) -> list[ExperimentRow]:
@@ -139,20 +149,10 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
         raise CiaError(f"experiment CSV lacks columns {sorted(missing)!r}")
     rows = []
     for record in reader:
-        kwargs = {}
-        for col in CSV_COLUMNS:
-            raw = record[col]
-            if col in _STR_FIELDS:
-                kwargs[col] = raw
-            elif raw == "NA":
-                kwargs[col] = None
-            elif col in _FLOAT_FIELDS:
-                kwargs[col] = float(raw)
-            elif col == "elapsed_ms":  # work units (int) or wall-clock ms (float)
-                kwargs[col] = _int_or_float(raw)
-            else:
-                kwargs[col] = int(raw)
-        rows.append(ExperimentRow(**kwargs))
+        values = {}
+        for col, types in _COLUMN_TYPES.items():
+            values[col] = _read_cell(record[col], types)
+        rows.append(ExperimentRow(**values))
     return rows
 
 
@@ -228,16 +228,14 @@ def _row(
     )
 
 
-def _run_file(args) -> ExperimentRow:
-    path_text, pair_id, io_policy, timeout, deterministic_timing, strict_internal = args
+def _run_file(job: tuple[str, str], **options) -> ExperimentRow:
+    """The row of one ``(file text, pair id)`` job; ``options`` go to ``run_pair``."""
+    text, pair_id = job
     try:
-        automata = parse_automata(path_text)
+        automata = parse_automata(text)
         if len(automata) != 2:
             raise CiaError(f"pair file must hold exactly 2 automata, found {len(automata)}")
-        return run_pair(
-            pair_id, automata[0], automata[1], io_policy, timeout,
-            deterministic_timing, strict_internal,
-        )
+        return run_pair(pair_id, automata[0], automata[1], **options)
     except CiaError:
         return _row(pair_id, "error")
     except Exception:  # a bug hit by one pair must not end the whole run
@@ -258,26 +256,19 @@ def run_experiment(
     paths = sorted(corpus.glob("*.cia"))
     if not paths:
         raise CiaError(f"no .cia files in {corpus}")
-    jobs = [
-        (
-            path.read_text(encoding="utf-8"),
-            path.stem,
-            io_policy,
-            timeout,
-            deterministic_timing,
-            strict_internal,
-        )
-        for path in paths
-    ]
+    jobs = [(path.read_text(encoding="utf-8"), path.stem) for path in paths]
+    run = partial(_run_file, io_policy=io_policy, timeout=timeout,
+                  deterministic_timing=deterministic_timing, strict_internal=strict_internal)
+    workers = min(workers, len(jobs))  # a pool starts every worker it may use
     if workers <= 1:
-        return [_run_file(job) for job in jobs]
+        return [run(job) for job in jobs]
     rows = []
     broken = None
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = []
         for job in jobs:
             try:
-                futures.append(pool.submit(_run_file, job))
+                futures.append(pool.submit(run, job))
             except BrokenProcessPool as exc:  # this pair and the later ones stay unsubmitted
                 broken = exc
                 break

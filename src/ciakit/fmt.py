@@ -12,9 +12,10 @@ A document holds one or more blocks::
     end
 
 ``#`` starts a comment; tokens are whitespace-separated except inside the
-hierarchy expression.  The action set is inferred from the transitions plus
-the optional ``actions`` line.  Each distinct label token in a block is
-checked once, against the hierarchy in force where it first occurs.
+hierarchy expression, which nests at most ``MAX_HIERARCHY_DEPTH`` levels.
+The action set is inferred from the transitions plus the optional
+``actions`` line.  Each distinct label token in a block is checked once,
+against the hierarchy in force where it first occurs.
 Serialization is canonical (sorted states, initial, actions and
 transitions), so parse/serialize round-trips are stable.
 """
@@ -35,6 +36,9 @@ __all__ = [
 
 _HIER_TOKEN_RE = re.compile(r"\(|\)|[A-Za-z0-9_]+")
 
+# far below the depth at which recursive parsing, rendering or comparing overflows
+MAX_HIERARCHY_DEPTH = 100
+
 
 def parse_hierarchy(expr: str) -> Hierarchy:
     """Parse a hierarchy expression like ``(A B)`` or ``((A)(B C))``."""
@@ -43,8 +47,10 @@ def parse_hierarchy(expr: str) -> Hierarchy:
         raise FormatError(f"invalid characters in hierarchy expression {expr!r}")
     pos = 0
 
-    def parse_node() -> Hierarchy:
+    def parse_node(depth: int) -> Hierarchy:
         nonlocal pos
+        if depth > MAX_HIERARCHY_DEPTH:
+            raise FormatError(f"hierarchy nested deeper than {MAX_HIERARCHY_DEPTH} levels")
         if pos >= len(tokens) or tokens[pos] != "(":
             raise FormatError(f"expected '(' in hierarchy expression {expr!r}")
         pos += 1
@@ -52,7 +58,7 @@ def parse_hierarchy(expr: str) -> Hierarchy:
         children: list[Hierarchy] = []
         while pos < len(tokens) and tokens[pos] != ")":
             if tokens[pos] == "(":
-                children.append(parse_node())
+                children.append(parse_node(depth + 1))
             else:
                 names.append(tokens[pos])
                 pos += 1
@@ -67,7 +73,7 @@ def parse_hierarchy(expr: str) -> Hierarchy:
             return Hierarchy.leaf(*names)
         return Hierarchy.node(*children)
 
-    tree = parse_node()
+    tree = parse_node(1)
     if pos != len(tokens):
         raise FormatError(f"trailing tokens after hierarchy expression {expr!r}")
     return tree

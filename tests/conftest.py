@@ -43,6 +43,12 @@ def handshake_pair():
     return a, b
 
 
+def nested_document(levels: int) -> str:
+    """A one-automaton document whose hierarchy nests ``levels`` deep: ``((…(A)…))``."""
+    hierarchy = "(" * (levels - 1) + "(A)" + ")" * (levels - 1)
+    return f"automaton A\nhierarchy {hierarchy}\nstates s0 s1\ninitial s0\ntrans s0 (A,m,-) s1\nend\n"
+
+
 def random_automaton(seed: int, max_states: int = 12) -> Automaton:
     """Seeded random automaton with varied topology; sometimes a composite."""
     rng = SplitMix64(seed)

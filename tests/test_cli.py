@@ -22,7 +22,7 @@ from ciakit import (
     serialize_automaton,
 )
 from ciakit.experiment import rows_from_csv, rows_to_csv
-from conftest import aut, handshake_pair
+from conftest import aut, handshake_pair, nested_document
 from oracles import weak_bisim_oracle
 
 MINIMAL = """\
@@ -81,6 +81,23 @@ class TestParse:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])                  # unknown subcommand
         assert err.value.code == 1
+
+
+    @pytest.mark.parametrize("levels", [450, 2000])
+    def test_deep_hierarchy_is_data_error(self, levels, tmp_path, capsys):
+        deep = tmp_path / "deep.cia"
+        deep.write_text(nested_document(levels), encoding="utf-8")
+        assert main(["parse", str(deep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ciakit: line 2: hierarchy nested deeper than 100 levels\n"
+
+    def test_hierarchy_at_the_depth_bound_round_trips(self, tmp_path, capsys):
+        text = nested_document(100)
+        deep = tmp_path / "deep.cia"
+        deep.write_text(text, encoding="utf-8")
+        assert main(["parse", str(deep)]) == 0
+        assert capsys.readouterr().out == text
 
 
 class TestComposeRefine:
@@ -385,6 +402,23 @@ def test_unread_option_is_usage_error(command, option, tmp_path, capsys):
         main([*_base_argv(command, tmp_path), option, OPTION_VALUES[option]])
     assert err.value.code == 1
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["parse", "dot", "regress", "metrics", "generate"])
+def test_strict_internal_elsewhere_is_usage_error(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*_base_argv(command, tmp_path), "--strict-internal"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --strict-internal" in capsys.readouterr().err
+
+
+def test_strict_internal_help_is_shared(capsys):
+    for command in ("compose", "refine", "experiment"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        assert ("--strict-internal match internal moves by exact label instead of silent closure"
+                in " ".join(capsys.readouterr().out.split()))
 
 
 def test_generate_needs_out_dir(capsys):

@@ -1,3 +1,4 @@
+import csv
 import logging
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
@@ -29,7 +30,7 @@ from ciakit.experiment import (
     rows_from_csv,
     rows_to_csv,
 )
-from conftest import handshake_pair
+from conftest import handshake_pair, nested_document
 
 # small seeded pairs with internal labels and synchronization cliques
 MANUAL_PAIRS = generate_corpus(
@@ -144,10 +145,10 @@ class TestRunExperiment:
         write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 3), corpus)
         expected = run_experiment(corpus, deterministic_timing=True)
 
-        def flaky(pair_id, *args):
+        def flaky(pair_id, *args, **kwargs):
             if pair_id == "pair00001":
                 raise RuntimeError("boom")
-            return run_pair(pair_id, *args)
+            return run_pair(pair_id, *args, **kwargs)
 
         monkeypatch.setattr("ciakit.experiment.run_pair", flaky)
         rows = run_experiment(corpus, workers=1, deterministic_timing=True)
@@ -155,6 +156,45 @@ class TestRunExperiment:
         assert rows[1].pair_id == "pair00001"
         assert (rows[0], rows[2]) == (expected[0], expected[2])
         assert "pair pair00001 failed" in caplog.text and "RuntimeError: boom" in caplog.text
+
+    @pytest.mark.parametrize("levels", [450, 2000])
+    def test_deep_hierarchy_becomes_error_row_without_a_log(
+        self, levels, tmp_path, caplog
+    ):
+        corpus = tmp_path / "corpus"
+        write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 1), corpus)
+        _, second = handshake_pair()
+        deep = nested_document(levels) + serialize_automaton(second)
+        (corpus / "pair00001.cia").write_text(deep, encoding="utf-8")
+        with caplog.at_level(logging.DEBUG):
+            rows = run_experiment(corpus)
+        assert [r.status for r in rows] == ["ok", "error"]
+        assert caplog.records == []
+
+    def test_pool_no_larger_than_the_pair_count(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 3), corpus)
+        expected = run_experiment(corpus, deterministic_timing=True)
+        sizes = []
+
+        class RecordingPool(Executor):
+            """Runs jobs in-process; records the pool size asked for, starts no process."""
+
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def submit(self, fn, job):
+                future = Future()
+                future.set_result(fn(job))
+                return future
+
+        monkeypatch.setattr("ciakit.experiment.ProcessPoolExecutor", RecordingPool)
+        assert run_experiment(corpus, workers=8, deterministic_timing=True) == expected
+        assert sizes == [3]
+        for extra in ("pair00001.cia", "pair00002.cia"):
+            (corpus / extra).unlink()
+        assert run_experiment(corpus, workers=8, deterministic_timing=True) == expected[:1]
+        assert sizes == [3]  # one pair runs in-process
 
     def test_broken_pool_turns_unfinished_pairs_into_error_rows(
         self, tmp_path, monkeypatch, caplog
@@ -264,6 +304,41 @@ class TestCsvRoundTrip:
         text = rows_to_csv([row])
         assert ",NA,NA,NA," in text
         assert rows_from_csv(text)[0].beta is None
+
+
+    ROW = ExperimentRow(
+        pair_id="p", states_a=2, states_b=3, states=6, transitions=7, internal=2,
+        beta=1.25, gini_in=0.5, gini_out=0.1, refined_states=4, success=1,
+        reduction_ratio=1 / 3, internal_removed_ratio=0.5, elapsed_ms=12,
+        over_5min=0, timed_out=0,
+    )
+
+    def test_hand_made_rows_round_trip(self):
+        base = self.ROW
+        rows = [
+            base,
+            replace(base, pair_id='quoted, "pair"', elapsed_ms=0.1 + 0.2),
+            replace(base, beta=None, gini_in=None, gini_out=None),
+            replace(base, status="timeout", timed_out=1, refined_states=6, success=0,
+                    reduction_ratio=0.0, internal_removed_ratio=0.0, elapsed_ms=7.5),
+            replace(base, pair_id="NA", status="error", states_a=0, states_b=0, states=0,
+                    transitions=0, internal=0, beta=None, gini_in=None, gini_out=None,
+                    refined_states=0, success=0, reduction_ratio=0.0,
+                    internal_removed_ratio=0.0, elapsed_ms=0),
+        ]
+        text = rows_to_csv(rows)
+        assert '"quoted, ""pair"""' in text
+        back = rows_from_csv(text)
+        assert back == rows
+        assert [type(r.elapsed_ms) for r in back] == [int, float, int, float, int]
+        assert rows_to_csv(back) == text
+
+    @pytest.mark.parametrize("column,cell", [("states", "1.5"), ("beta", "x"), ("states", "NA")])
+    def test_cell_of_the_wrong_type_rejected(self, column, cell):
+        table = list(csv.reader(rows_to_csv([self.ROW]).splitlines()))
+        table[1][table[0].index(column)] = cell
+        with pytest.raises(ValueError):
+            rows_from_csv("\n".join(",".join(record) for record in table) + "\n")
 
 
 class TestReductionReport:

@@ -10,6 +10,7 @@ from ciakit import (
     fit_logistic,
     threshold_x,
 )
+from ciakit import regress
 from ciakit.regress import lr_p_value, predict
 from conftest import python_output
 from oracles import chi2_sf_oracle, logistic_grid_oracle
@@ -97,6 +98,26 @@ class TestFitLogistic:
         ys = [1 if x > 5 else 0 for x in xs]
         with pytest.raises(SeparationError, match="separated"):
             fit_logistic([x for x in xs], ys)
+
+    def test_step_halving_on_a_near_separated_sample(self, monkeypatch):
+        xs = [-9.12, -4.16, -2.49, -0.87, -0.74, -0.4, -0.22, 0.53, 0.59, 0.6, 5.89, 9.99, 94.34]
+        ys = [1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]
+        calls = []
+        log_likelihood = regress._log_likelihood
+
+        def counted(*args):
+            calls.append(args)
+            return log_likelihood(*args)
+
+        monkeypatch.setattr(regress, "_log_likelihood", counted)
+        fit = fit_logistic(xs, ys)
+        assert fit.converged
+        # one null evaluation, then a trial step and an accepted one per
+        # iteration; any evaluation beyond those is a halved step
+        assert len(calls) > 1 + 2 * fit.iterations
+        oracle_a, oracle_b = logistic_grid_oracle(xs, ys)
+        assert fit.a == pytest.approx(oracle_a, abs=1e-3)
+        assert fit.b == pytest.approx(oracle_b, abs=1e-3)
 
     def test_nested_likelihoods_ordered(self):
         xs, ys = synthetic(0.5, -0.3, n=500, seed=9)
