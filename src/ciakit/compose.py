@@ -16,12 +16,12 @@ sets.  Its transitions fall into four classes:
 One explorer builds every composite.  It reads each component's indexed
 form (``core.Indexed.of``, which numbers the sorted states), codes a product
 state as one integer and runs a worklist from a seed set of product states,
-recording distinct ``(source, label id, target)`` triples
-(``core.Indexed``).  ``compose`` seeds it with every product state;
-``reachable_composite`` and the experiment pipeline seed it with the initial
-states, which gives ``reachable(compose(...))`` without building the
-unreachable part.  Composite states are named with tuple tokens
-``(q1,q2,...)`` only when an ``Automaton`` is returned.
+appending each move to its label's edge list (``core.Indexed``).
+``compose`` seeds it with every product state; ``reachable_composite`` and
+the experiment pipeline seed it with the initial states, which gives
+``reachable(compose(...))`` without building the unreachable part.
+Composite states are named with tuple tokens ``(q1,q2,...)`` only when an
+``Automaton`` is returned.
 """
 
 from __future__ import annotations
@@ -117,19 +117,20 @@ class _Product:
             solo: list[list[tuple[int, int]]] = [[] for _ in names]
             sends: list[dict[str, list]] = [{} for _ in names]
             receives: list[dict[str, list]] = [{} for _ in names]
-            for src, lid, dst in form.triples:
-                label = form.labels[lid]
-                delta = (dst - src) * stride
+            for label, flat in zip(form.labels, form.edges):
                 kind = label.kind
-                if kind is LabelKind.OUTPUT:
-                    sends[src].setdefault(label.action, []).append((label.src, delta))
-                    if label.action not in io.provided:
-                        continue
-                elif kind is LabelKind.INPUT:
-                    receives[src].setdefault(label.action, []).append((label.dst, delta))
-                    if label.action not in io.required:
-                        continue
-                solo[src].append((self._intern(label.src, label.action, label.dst, label), delta))
+                for src, dst in zip(flat[::2], flat[1::2]):
+                    delta = (dst - src) * stride
+                    if kind is LabelKind.OUTPUT:
+                        sends[src].setdefault(label.action, []).append((label.src, delta))
+                        if label.action not in io.provided:
+                            continue
+                    elif kind is LabelKind.INPUT:
+                        receives[src].setdefault(label.action, []).append((label.dst, delta))
+                        if label.action not in io.required:
+                            continue
+                    lid = self._intern(label.src, label.action, label.dst, label)
+                    solo[src].append((lid, delta))
             self.solo.append(solo)
             self.sends.append(sends)
             self.receives.append(receives)
@@ -159,15 +160,25 @@ class _Product:
 
     def explore(self, seeds: Iterable[int]) -> tuple[Indexed, list[int]]:
         """Every product state reachable from ``seeds``, numbered in discovery
-        order; returns the indexed form and the code of each state."""
+        order; returns the indexed form and the code of each state.
+
+        Moves are appended with no duplicate check, because the moves of
+        one state are distinct.  Each component's transitions are a
+        frozenset.  Solo labels of different components differ: every
+        annotation names an instance of the component's own hierarchy, and
+        the hierarchies are disjoint.  A sync label ``(n1,a,n2)`` names its
+        sender's and its receiver's component, so it is no solo label and
+        fixes the pair.  For one label, distinct local transitions give
+        distinct code deltas, as codes are mixed-radix numbers.
+        """
         index: dict[int, int] = {}
         codes: list[int] = []
         for code in seeds:
             if code not in index:
                 index[code] = len(codes)
                 codes.append(code)
-        triples: set[tuple[int, int, int]] = set()
-        add = triples.add
+        labels = self.labels
+        edges: list[list[int]] = [[] for _ in labels]
         locate = list(zip(self.strides, [len(names) for names in self.names]))
         solo, sends, receives = self.solo, self.sends, self.receives
         pos = 0
@@ -188,26 +199,31 @@ class _Product:
                             for src_name, out_delta in outs:
                                 lid = self._intern(src_name, action, dst_name)
                                 moves.append((lid, out_delta + in_delta))
+            if len(edges) < len(labels):  # sync labels met for the first time
+                edges += ([] for _ in range(len(labels) - len(edges)))
             for lid, delta in moves:
                 target = code + delta
                 dst = index.get(target)
                 if dst is None:
                     dst = index[target] = len(codes)
                     codes.append(target)
-                add((pos, lid, dst))
+                edge = edges[lid]
+                edge.append(pos)
+                edge.append(dst)
             pos += 1
-        return Indexed(len(codes), self.labels, triples), codes
+        return Indexed(len(codes), labels, edges), codes
 
     def automaton(self, indexed: Indexed, codes: list[int]) -> Automaton:
         """Name the explored states with tuple tokens ``(q1,q2,...)``."""
         tokens = [self.token(code) for code in codes]
-        labels = indexed.labels
         return Automaton(
             name="".join(a.name for a in self.components),
             states=frozenset(tokens),
             actions=self.actions,
             transitions=(
-                Transition(tokens[s], labels[lid], tokens[d]) for s, lid, d in indexed.triples
+                Transition(tokens[s], label, tokens[d])
+                for label, flat in zip(indexed.labels, indexed.edges)
+                for s, d in zip(flat[::2], flat[1::2])
             ),
             initial=frozenset(self.token(code) for code in self.initial_codes()),
             hierarchy=Hierarchy.node(*(a.hierarchy for a in self.components)),

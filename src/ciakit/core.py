@@ -87,8 +87,10 @@ class Label:
     def __hash__(self) -> int:
         # hash(None) is address-based before Python 3.12; hashing strings
         # only makes label sets, and so every internal numbering, iterate
-        # in the same order in every process with the same PYTHONHASHSEED
-        return hash(self.sort_key())
+        # in the same order in every process with the same PYTHONHASHSEED.
+        # Spelled out rather than calling sort_key(): hashing is hot.  Not
+        # cached: a pickled cache would carry it into another hash seed.
+        return hash((self.src or "", self.action, self.dst or ""))
 
     def sort_key(self) -> tuple[str, str, str]:
         # absent annotations sort before any component name
@@ -250,15 +252,17 @@ class Automaton:
 class Indexed(NamedTuple):
     """An automaton's transition graph over integer state numbers.
 
-    States are ``0 .. n-1``, ``labels`` is the label table, and ``triples``
-    holds the distinct transitions as ``(source, label id, target)``.
-    Composition, metrics and refinement work on this form; state names are
-    made or read only where an ``Automaton`` is built or taken apart.
+    States are ``0 .. n-1`` and ``labels`` is the label table.  ``edges[lid]``
+    holds label ``lid``'s transitions as one flat list ``[src, dst, src, dst,
+    ...]``; ``zip(flat[::2], flat[1::2])`` reads its pairs.  No transition
+    occurs twice.  Composition, metrics and refinement work on this form;
+    state names are made or read only where an ``Automaton`` is built or
+    taken apart.
     """
 
     n: int
     labels: list[Label]
-    triples: set[tuple[int, int, int]]
+    edges: list[list[int]]
 
     @classmethod
     def of(cls, automaton: Automaton) -> tuple["Indexed", list[str]]:
@@ -266,11 +270,13 @@ class Indexed(NamedTuple):
         states = automaton.sorted_states()
         index = {state: i for i, state in enumerate(states)}
         label_id: dict[Label, int] = {}
-        triples = {
-            (index[t.source], label_id.setdefault(t.label, len(label_id)), index[t.target])
-            for t in automaton.transitions
-        }
-        return cls(len(states), list(label_id), triples), states
+        edges: list[list[int]] = []
+        for source, label, target in automaton.transitions:
+            lid = label_id.setdefault(label, len(edges))
+            if lid == len(edges):
+                edges.append([])
+            edges[lid] += (index[source], index[target])
+        return cls(len(states), list(label_id), edges), states
 
     def internal(self) -> list[bool]:
         """Per label id: whether the label is internal (silent)."""

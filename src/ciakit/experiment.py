@@ -10,7 +10,7 @@ pair the pipeline runs, on one integer-indexed form (``core.Indexed``):
 4. timed refinement of the indexed form (``refine.refine_indexed``);
 5. count the quotient's states and the internal transitions it keeps
    (``refine.quotient_triples``, the rule ``refine.quotient`` applies to
-   names, here over block ids);
+   names, here over block ids and the internal labels' edge lists only);
 6. one CSV row.
 
 Row order follows sorted file names regardless of worker count.  Refinement
@@ -40,6 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, get_args, get_type_hints
 
@@ -148,7 +149,11 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
     if missing:
         raise CiaError(f"experiment CSV lacks columns {sorted(missing)!r}")
     rows = []
-    for record in reader:
+    for number, record in enumerate(reader, start=1):
+        # DictReader fills the cells a short row lacks with None
+        cut = [col for col in CSV_COLUMNS if record[col] is None]
+        if cut:
+            raise CiaError(f"experiment CSV row {number} lacks cells for columns {cut!r}")
         values = {}
         for col, types in _COLUMN_TYPES.items():
             values[col] = _read_cell(record[col], types)
@@ -174,7 +179,10 @@ def run_pair(
         block, refined = refine_indexed(composite, timeout, strict_internal, stats)
         internal = composite.internal()
         # count the internal transitions the quotient keeps; the rest are not built
-        silent = (t for t in composite.triples if internal[t[1]])
+        silent = chain.from_iterable(
+            zip(flat[::2], repeat(lid), flat[1::2])
+            for lid, flat in enumerate(composite.edges) if internal[lid]
+        )
         left = len(quotient_triples(silent, block, internal))
         status = "ok"
     except RefinementTimeout:

@@ -58,17 +58,20 @@ def metrics_record(automaton: Automaton) -> MetricsRecord:
 
 def indexed_record(indexed: Indexed) -> MetricsRecord:
     """``metrics_record`` of an indexed automaton."""
-    n, m = indexed.n, len(indexed.triples)
-    internal = indexed.internal()
+    n, _, edges = indexed
+    m = sum(map(len, edges)) // 2
+    internal = sum(len(flat) for flat, silent in zip(edges, indexed.internal()) if silent) // 2
     deg_in = [0] * n
     deg_out = [0] * n
-    for src, _, dst in indexed.triples:
-        deg_out[src] += 1
-        deg_in[dst] += 1
+    for flat in edges:
+        for src in flat[0::2]:
+            deg_out[src] += 1
+        for dst in flat[1::2]:
+            deg_in[dst] += 1
     return MetricsRecord(
         states=n,
         transitions=m,
-        internal_transitions=sum(internal[lid] for _, lid, _ in indexed.triples),
+        internal_transitions=internal,
         beta=math.log(m) / math.log(n) if n > 1 and m else None,
         gini_in=gini(deg_in),
         gini_out=gini(deg_out),

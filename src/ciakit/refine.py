@@ -13,12 +13,15 @@ relation.  ``refine_indexed`` computes it on an indexed automaton
 (``core.Indexed``) in three steps; ``partition_refine`` is its adapter for
 an ``Automaton`` (index the sorted states, name the blocks):
 
-1. Condense the silent graph into its strongly connected components
-   (Tarjan).  States of one silent SCC have equal closures, hence equal
-   saturated rows for every label in both semantics, so they are always
-   weakly bisimilar; synchronization cliques collapse here.
+1. Condense the silent graph, built from the internal labels' edge lists
+   alone, into its strongly connected components (Tarjan); a sink state,
+   one with no silent successor, is its own component and skips the DFS.
+   States of one silent SCC have equal closures, hence equal saturated rows
+   for every label in both semantics, so they are always weakly bisimilar;
+   synchronization cliques collapse here.
 2. Saturate: one bitset pass over the SCC DAG, sinks first, computes the
-   silent closure, and one more pass per label computes closure;l;closure.
+   silent closure, and one more pass per label, read straight from its edge
+   list, computes closure;l;closure.
    A pass visits only the nodes with silent successors; every other row is
    its direct step.  In the default semantics every internal label shares
    the closure row.
@@ -124,6 +127,8 @@ def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int]:
 
     Returns each state's component id and the component count.  Ids follow
     emission order, so every silent edge leads to an equal or smaller id.
+    A state with no silent successor is its own component: it gets its id
+    where the search meets it, without entering the DFS.
     """
     n = len(silent)
     index = [-1] * n
@@ -132,7 +137,11 @@ def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int]:
     stack: list[int] = []
     counter = count = 0
     for root in range(n):
-        if index[root] >= 0:
+        if comp[root] >= 0:
+            continue
+        if not silent[root]:
+            comp[root] = count
+            count += 1
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -140,21 +149,30 @@ def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int]:
         work = [(root, iter(silent[root]))]
         while work:
             v, succs = work[-1]
+            low_v = low[v]
             for w in succs:
+                if comp[w] >= 0:  # in a finished component
+                    continue
                 if index[w] < 0:
+                    if not silent[w]:
+                        comp[w] = count
+                        count += 1
+                        continue
+                    low[v] = low_v
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     work.append((w, iter(silent[w])))
                     break
-                if comp[w] < 0:  # visited and still on the stack
-                    low[v] = min(low[v], index[w])
+                if index[w] < low_v:  # visited and still on the stack
+                    low_v = index[w]
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
+                    if low_v < low[parent]:
+                        low[parent] = low_v
+                if low_v == index[v]:
                     while True:
                         w = stack.pop()
                         comp[w] = count
@@ -197,16 +215,18 @@ def refine_indexed(
             stats.elapsed_s = elapsed
             raise RefinementTimeout(elapsed, timeout)
 
-    n, labels, triples = indexed
+    n, labels, edges = indexed
     internal = indexed.internal()
     silent: list[list[int]] = [[] for _ in range(n)]
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for src, lid, dst in triples:
-        if internal[lid]:
-            silent[src].append(dst)
-            if not strict_internal:
-                continue  # every internal label shares the closure row
-        by_label.setdefault(lid, []).append((src, dst))
+    for flat, is_internal in zip(edges, internal):
+        if is_internal:
+            for src, dst in zip(flat[::2], flat[1::2]):
+                silent[src].append(dst)
+    # labels with a saturated row of their own; in the default semantics
+    # every internal label shares the closure row
+    row_labels = [
+        lid for lid, flat in enumerate(edges) if flat and (strict_internal or not internal[lid])
+    ]
 
     comp, k = _silent_sccs(silent)
     dag: list[set[int]] = [set() for _ in range(k)]
@@ -228,17 +248,18 @@ def refine_indexed(
     else:  # the closure row is never empty, so it does not split the label set
         profile = [[row_id.setdefault(row, len(row_id))] for row in closure]
     enabled = [0] * k
-    for position, lid in enumerate(sorted(by_label, key=lambda lid: labels[lid].sort_key())):
+    for position, lid in enumerate(sorted(row_labels, key=lambda lid: labels[lid].sort_key())):
         bit = 1 << position
         step = [0] * k
-        for src, dst in by_label[lid]:
+        flat = edges[lid]
+        for src, dst in zip(flat[::2], flat[1::2]):
             step[comp[src]] |= closure[comp[dst]]
         _propagate(step, inner)
         for c in compress(range(k), step):
             profile[c].append(row_id.setdefault(step[c], len(row_id)))
             enabled[c] |= bit
         check_budget()
-    stats.refine_steps += len(by_label) + (not strict_internal)
+    stats.refine_steps += len(row_labels) + (not strict_internal)
     targets = [list(_bits(row)) for row in row_id]
     del closure, row_id
 

@@ -2,11 +2,11 @@
 
 Each oracle deliberately takes a different route than the library code it
 checks: set-comprehension enumeration for composition, plain BFS for
-reachability, naive set fixpoints for silent closure and weak moves, the
-library's brute-force ``weak_bisim_relation`` (not the refinement engine) on
-a disjoint union to compare two automata, exact rational arithmetic for the
-Gini coefficient, mpmath for logs and tail probabilities, and grid search
-for the logistic MLE.
+reachability, naive set fixpoints for silent closure, weak moves and
+mutually reachable states, the library's brute-force ``weak_bisim_relation``
+(not the refinement engine) on a disjoint union to compare two automata,
+exact rational arithmetic for the Gini coefficient, mpmath for logs and tail
+probabilities, and grid search for the logistic MLE.
 """
 
 from __future__ import annotations
@@ -115,6 +115,24 @@ def silent_closure(automaton: Automaton) -> dict[str, frozenset[str]]:
                 closure[state] |= extra
                 changed = True
     return {state: frozenset(members) for state, members in closure.items()}
+
+
+def mutual_reachability_classes(succ: list[list[int]]) -> set[frozenset[int]]:
+    """Classes of states that reach each other, by a naive closure fixpoint
+    over a graph given as successor lists on states ``0 .. n-1``."""
+    reach = [{state, *targets} for state, targets in enumerate(succ)]
+    changed = True
+    while changed:
+        changed = False
+        for state, seen in enumerate(reach):
+            grown = set().union(*(reach[mid] for mid in seen))
+            if grown - seen:
+                seen |= grown
+                changed = True
+    return {
+        frozenset(other for other in reach[state] if state in reach[other])
+        for state in range(len(succ))
+    }
 
 
 def weak_targets(

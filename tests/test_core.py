@@ -207,7 +207,7 @@ from ciakit.refine import refine_indexed
 out = []
 for a, b in generate_corpus(GenParams(state_count_range=(4, 7), seed=3), 3):
     indexed = reachable_product([a, b], default_io_sets([a, b]))
-    out.append(([l.render() for l in indexed.labels], sorted(indexed.triples),
+    out.append(([l.render() for l in indexed.labels], indexed.edges,
                 refine_indexed(indexed)))
 print(hashlib.sha256(repr(out).encode()).hexdigest())
 """

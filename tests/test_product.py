@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciakit import Automaton, Hierarchy, IoSets, Label, compose, default_io_sets, reachable
-from ciakit.compose import reachable_composite, reachable_product
+from ciakit.compose import _Product, reachable_composite, reachable_product
 from ciakit.metrics import indexed_record, metrics_record
 from oracles import compose_oracle
 
@@ -42,3 +42,22 @@ def test_exploring_from_initial_states_equals_reachable_compose(k, data, closed)
     assert reachable(expected) == expected
     assert reachable_composite(components, io) == expected
     assert indexed_record(reachable_product(components, io)) == metrics_record(expected)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data(), closed=st.booleans(), every_state=st.booleans())
+def test_explorer_emits_each_move_once(k, data, closed, every_state):
+    """The edge lists are not deduplicated: ``explore`` must never emit a
+    move twice, seeded from every state (as ``compose``) or from the initial
+    states."""
+    components = [data.draw(component(i)) for i in range(k)]
+    io = IoSets.closed() if closed else default_io_sets(components)
+    prod = _Product(components, io)
+    indexed, _ = prod.explore(range(prod.size) if every_state else prod.initial_codes())
+    moves = [
+        (src, lid, dst)
+        for lid, flat in enumerate(indexed.edges)
+        for src, dst in zip(flat[::2], flat[1::2])
+    ]
+    assert len(moves) == len(set(moves))

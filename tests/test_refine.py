@@ -23,8 +23,16 @@ from ciakit import (
     serialize_automaton,
     weak_bisim_relation,
 )
+from ciakit.refine import _silent_sccs
 from conftest import aut, handshake_pair, random_automaton
-from oracles import refine_step, silent_closure, splitter, weak_bisim_oracle, weak_targets
+from oracles import (
+    mutual_reachability_classes,
+    refine_step,
+    silent_closure,
+    splitter,
+    weak_bisim_oracle,
+    weak_targets,
+)
 
 TAU = Label("A", "t", "A")
 IN_A = Label(None, "a", "A")
@@ -427,6 +435,31 @@ def label_subset_automata(draw):
 def test_partition_equals_oracle_classes_on_label_subsets(strict, a):
     got = partition_refine(a, strict_internal=strict)
     assert set(got.blocks) == oracle_classes(a, strict_internal=strict)
+
+
+@st.composite
+def silent_graphs(draw):
+    """Successor lists on at most 12 states: sparse enough that many states
+    are isolated or have no successor, with self-loops and repeated edges."""
+    n = draw(st.integers(1, 12))
+    state = st.integers(0, n - 1)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for src, dst in draw(st.lists(st.tuples(state, state), max_size=2 * n)):
+        succ[src].append(dst)
+    return succ
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(succ=silent_graphs())
+def test_silent_sccs_are_mutual_reachability_classes(succ):
+    comp, count = _silent_sccs(succ)
+    assert sorted(set(comp)) == list(range(count))
+    members: dict[int, set[int]] = {}
+    for state, c in enumerate(comp):
+        members.setdefault(c, set()).add(state)
+    assert {frozenset(group) for group in members.values()} == mutual_reachability_classes(succ)
+    # saturation visits components in id order and relies on this
+    assert all(comp[dst] <= comp[src] for src, targets in enumerate(succ) for dst in targets)
 
 
 # Seeded composites above the oracle's size limit, with the refinement
