@@ -150,10 +150,15 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
         raise CiaError(f"experiment CSV lacks columns {sorted(missing)!r}")
     rows = []
     for number, record in enumerate(reader, start=1):
-        # DictReader fills the cells a short row lacks with None
+        # DictReader fills the cells a short row lacks with None and files
+        # a long row's surplus cells under the key None
         cut = [col for col in CSV_COLUMNS if record[col] is None]
         if cut:
             raise CiaError(f"experiment CSV row {number} lacks cells for columns {cut!r}")
+        if None in record:
+            raise CiaError(
+                f"experiment CSV row {number} has {len(record[None])} cells more than the header"
+            )
         values = {}
         for col, types in _COLUMN_TYPES.items():
             values[col] = _read_cell(record[col], types)

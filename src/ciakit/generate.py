@@ -9,6 +9,14 @@ the choice is uniform.  With probability ``clique_bias`` an extra edge turns
 into a short internal-synchronization chain (length 2-5) between existing
 states, seeding the silent cliques that refinement later collapses.
 
+Each call numbers its 3 * |alphabet| labels (the input, output and internal
+label of every action) and builds a ``Label`` at most once, when first
+needed.  Edges are ``(source, label index, target)`` integer triples until
+the end, where each becomes a ``Transition``.  After 200 consecutive draws that hit an existing edge, the
+graph is near saturation: the leftover triples are listed in canonical
+transition order (states by name, labels by ``Label.sort_key``) and drawn
+uniformly, without replacement, until the count is reached.
+
 Randomness comes from splitmix64, a fixed, widely documented 64-bit mixer,
 so a seed reproduces the exact same corpus on any platform or version.
 """
@@ -16,11 +24,14 @@ so a seed reproduces the exact same corpus on any platform or version.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
-from .core import Automaton, Hierarchy, Label, LabelKind, Transition
+from .core import Automaton, Hierarchy, Label, Transition
 from .errors import ValidationError
 from .fmt import serialize_automaton
 
@@ -61,14 +72,9 @@ class SplitMix64:
         return seq[self.randint(0, len(seq) - 1)]
 
     def pick_weighted(self, weights: Sequence[float]) -> int:
-        total = sum(weights)
-        u = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                return i
-        return len(weights) - 1
+        """Index ``i`` with probability ``weights[i] / sum(weights)``."""
+        u = self.random() * sum(weights)
+        return min(bisect_right(list(accumulate(weights)), u), len(weights) - 1)
 
 
 @dataclass(frozen=True)
@@ -109,19 +115,6 @@ def _alphabet(params: GenParams, prefix: str = "a") -> list[str]:
     return [f"{prefix}{i}" for i in range(params.alphabet_size)]
 
 
-def _draw_kind(rng: SplitMix64, mix: tuple[float, float, float]) -> LabelKind:
-    kinds = (LabelKind.INPUT, LabelKind.OUTPUT, LabelKind.INTERNAL)
-    return kinds[rng.pick_weighted(mix)]
-
-
-def _label(kind: LabelKind, action: str, component: str) -> Label:
-    if kind is LabelKind.INPUT:
-        return Label(None, action, component)
-    if kind is LabelKind.OUTPUT:
-        return Label(component, action, None)
-    return Label(component, action, component)
-
-
 def generate_primitive(
     params: GenParams,
     name: str | None = None,
@@ -141,76 +134,81 @@ def generate_primitive(
     actions = list(alphabet) if alphabet is not None else _alphabet(params)
     if not actions:
         raise ValidationError("alphabet must not be empty")
+    repeated = sorted({action for action in actions if actions.count(action) > 1})
+    if repeated:
+        raise ValidationError(f"alphabet repeats actions {repeated!r}")
+    width = len(actions)
+    # input, output, internal: kind k with action i is label k * width + i
+    ends = [
+        (src, action, dst)
+        for src, dst in ((None, component), (component, None), (component, component))
+        for action in actions
+    ]
+
+    @cache
+    def label(lid: int) -> Label:
+        return Label(*ends[lid])
+
     states = [f"s{i}" for i in range(n)]
-    transitions: set[Transition] = set()
+    edges: set[tuple[int, int, int]] = set()
     in_deg = [0] * n
     out_deg = [0] * n
 
-    def add(src: int, label: Label, dst: int) -> bool:
-        trans = Transition(states[src], label, states[dst])
-        if trans in transitions:
+    def add(src: int, lid: int, dst: int) -> bool:
+        if (src, lid, dst) in edges:
             return False
-        transitions.add(trans)
+        edges.add((src, lid, dst))
         out_deg[src] += 1
         in_deg[dst] += 1
         return True
 
-    def weighted(indices: range | list[int], degs: list[int]) -> int:
-        weights = [(degs[i] + 1.0) ** pa_exponent for i in indices]
-        return list(indices)[rng.pick_weighted(weights)]
+    def weighted(degs: list[int]) -> int:
+        return rng.pick_weighted([(d + 1.0) ** pa_exponent for d in degs])
+
+    def draw_label(kind: int) -> int:
+        return kind * width + rng.randint(0, width - 1)
 
     # spanning arborescence rooted at s0 guarantees reachability
     for child in range(1, n):
-        parent = weighted(
-            range(child), [in_deg[i] + out_deg[i] for i in range(child)]
-        )
-        kind = _draw_kind(rng, params.kind_mix)
-        add(parent, _label(kind, rng.pick(actions), component), child)
+        parent = weighted([in_deg[i] + out_deg[i] for i in range(child)])
+        add(parent, draw_label(rng.pick_weighted(params.kind_mix)), child)
 
     misses = 0
-    while len(transitions) < m:
-        remaining = m - len(transitions)
+    while len(edges) < m:
+        remaining = m - len(edges)
         if remaining >= 2 and rng.random() < params.clique_bias:
             # internal chain through existing states
             length = rng.randint(2, min(5, remaining))
             nodes = [rng.randint(0, n - 1) for _ in range(length + 1)]
             for a, b in zip(nodes, nodes[1:]):
-                add(a, _label(LabelKind.INTERNAL, rng.pick(actions), component), b)
+                add(a, draw_label(2), b)  # kind 2: internal
             continue
         childless = [i for i in range(n) if out_deg[i] == 0] if params.avoid_deadlocks else []
-        if childless:
-            src = rng.pick(childless)
-        else:
-            src = weighted(range(n), out_deg)
-        dst = weighted(range(n), in_deg)
-        kind = _draw_kind(rng, params.kind_mix)
-        if add(src, _label(kind, rng.pick(actions), component), dst):
+        src = rng.pick(childless) if childless else weighted(out_deg)
+        dst = weighted(in_deg)
+        if add(src, draw_label(rng.pick_weighted(params.kind_mix)), dst):
             misses = 0
         else:
             misses += 1
             if misses >= 200:
-                # near-saturated graph: enumerate the leftover label space
-                index = {state: i for i, state in enumerate(states)}
-                candidates = sorted(
-                    (
-                        Transition(states[i], _label(k, act, component), states[j])
-                        for i in range(n)
-                        for j in range(n)
-                        for k in LabelKind
-                        for act in actions
-                    ),
-                    key=Transition.sort_key,
-                )
-                candidates = [c for c in candidates if c not in transitions]
-                while len(transitions) < m and candidates:
-                    chosen = candidates.pop(rng.randint(0, len(candidates) - 1))
-                    add(index[chosen.source], chosen.label, index[chosen.target])
-                break
+                # near-saturated graph: draw from the leftover label space,
+                # listed in canonical transition order
+                by_name = sorted(range(n), key=states.__getitem__)
+                by_label = sorted(range(len(ends)), key=lambda lid: label(lid).sort_key())
+                leftover = [
+                    (i, lid, j)
+                    for i in by_name
+                    for lid in by_label
+                    for j in by_name
+                    if (i, lid, j) not in edges
+                ]
+                while len(edges) < m:
+                    add(*leftover.pop(rng.randint(0, len(leftover) - 1)))
 
     return Automaton.make(
         name=component,
         states=states,
-        transitions=transitions,
+        transitions=[Transition(states[i], label(lid), states[j]) for i, lid, j in edges],
         initial=[states[0]],
         hierarchy=Hierarchy.leaf(component),
     )

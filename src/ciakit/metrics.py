@@ -15,6 +15,7 @@ included.  Metrics that are undefined on a degenerate input are reported as
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +38,8 @@ def gini(values: Sequence[float]) -> float | None:
     if n == 0 or total == 0:
         return None
     ordered = sorted(values)
-    acc = sum((2 * i - n - 1) * x for i, x in enumerate(ordered, start=1))
+    # weights 2i - n - 1 for i = 1..n, multiplied and summed in order
+    acc = sum(map(operator.mul, range(1 - n, n, 2), ordered))
     return acc / (n * total)
 
 

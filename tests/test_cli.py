@@ -542,6 +542,20 @@ class TestRegressResponses:
         assert captured.out == ""
         assert "experiment CSV row 3 lacks cells for columns ['internal', 'beta'," in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["experiment", "--report", "{csv}"],
+        ["regress", "--csv", "{csv}", "--x", "beta", "--y", "success"],
+    ], ids=lambda command: command[0])
+    def test_overlong_row_is_data_error(self, command, tmp_path, capsys):
+        lines = rows_to_csv([_regress_row(i) for i in range(3)]).splitlines()
+        lines[2] += ",extra,cells"
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([arg.format(csv=csv_path) for arg in command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "experiment CSV row 2 has 2 cells more than the header" in captured.err
+
 
 @pytest.mark.parametrize("kept", [
     ["parse", "{doc}"],

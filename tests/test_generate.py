@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -15,6 +16,7 @@ from ciakit import (
     serialize_automaton,
     write_corpus,
 )
+import ciakit.generate
 from ciakit.generate import SplitMix64
 from ciakit.metrics import metrics_record
 from oracles import chi2_sf_oracle
@@ -70,6 +72,10 @@ class TestGeneratePrimitive:
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValidationError, match="^alphabet must not be empty$"):
             generate_primitive(GenParams(seed=1), alphabet=[])
+
+    def test_repeated_action_rejected(self):
+        with pytest.raises(ValidationError, match=r"^alphabet repeats actions \['a'\]$"):
+            generate_primitive(GenParams(seed=1), alphabet=["a", "b", "a"])
 
     def test_same_seed_same_output(self):
         p = GenParams(seed=71)
@@ -141,6 +147,68 @@ class TestGeneratePrimitive:
         sd = statistics.pstdev(gouts)
         skew = sum((g - mu) ** 3 for g in gouts) / len(gouts) / sd**3
         assert skew > 0.0
+
+
+# sha256 of the serialized output over a grid that covers the attachment
+# draws, clique chains, avoid_deadlocks, uniform attachment, the saturation
+# fallback (every kind_mix=(1, 0, 0), beta 2 call and one clique-chain call
+# reach it) and a disjoint-alphabet corpus; any change of output moves it
+PINNED_GRID_SHA256 = "7b11e1f8308e839ec93dae13e87e8863eb0477f8de93597e215892ad28f292ba"
+
+
+class TestPinnedOutput:
+    def test_grid_digest(self):
+        grid = [
+            *(GenParams(seed=s) for s in range(20)),
+            *(
+                GenParams(kind_mix=(1, 0, 0), target_beta=2.0, clique_bias=0.0, seed=s)
+                for s in range(12)
+            ),
+            *(
+                GenParams(
+                    state_count_range=(2, 12),
+                    target_beta=1.9,
+                    clique_bias=0.5,
+                    avoid_deadlocks=bool(s % 2),
+                    seed=s,
+                )
+                for s in range(20)
+            ),
+            *(GenParams(pa_strength=0.0, seed=s) for s in range(10)),
+        ]
+        digest = hashlib.sha256()
+        for params in grid:
+            digest.update(serialize_automaton(generate_primitive(params)).encode())
+        corpus = generate_corpus(
+            GenParams(state_count_range=(3, 10), seed=5), 4, disjoint_alphabets=True
+        )
+        for pair in corpus:
+            for automaton in pair:
+                digest.update(serialize_automaton(automaton).encode())
+        assert digest.hexdigest() == PINNED_GRID_SHA256
+
+    def test_each_label_built_once(self, monkeypatch):
+        built = []
+
+        class CountingLabel(ciakit.generate.Label):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(ciakit.generate, "Label", CountingLabel)
+        params = GenParams(
+            state_count_range=(12, 12),
+            alphabet_size=1,
+            kind_mix=(1, 0, 0),
+            target_beta=2.0,
+            clique_bias=0.0,
+            seed=3,
+        )
+        a = generate_primitive(params)
+        # 144 transitions need the saturation fallback; still one label per
+        # (kind, action)
+        assert len(a.transitions) == 144
+        assert len(built) <= 3 * params.alphabet_size
 
 
 class TestGenerateCorpus:

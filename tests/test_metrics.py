@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,25 @@ class TestGini:
         cases = [[1, 1, 2], [3, 0, 0, 7, 7], [10], [2, 4, 8, 16, 32, 64]]
         for xs in cases:
             assert gini(xs) == pytest.approx(float(gini_oracle(xs)), abs=1e-12)
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.randrange(50),
+        lambda rng: rng.random() * 100.0,
+    ], ids=["int", "float"])
+    def test_bit_identical_to_enumerated_sum(self, draw):
+        # the rank-weighted sum as first written; the same products added in
+        # the same order give the same float, bit for bit
+        def enumerated(values):
+            n = len(values)
+            ordered = sorted(values)
+            acc = sum((2 * i - n - 1) * x for i, x in enumerate(ordered, start=1))
+            return acc / (n * sum(values))
+
+        rng = random.Random(17)
+        for _ in range(500):
+            xs = [draw(rng) for _ in range(rng.randint(1, 40))]
+            if sum(xs):
+                assert gini(xs).hex() == enumerated(xs).hex()
 
 
 @settings(max_examples=150, deadline=None)
