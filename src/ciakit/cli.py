@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .compose import IoSets, compose, compose_pairwise_reduce, resolve_io
@@ -22,6 +23,7 @@ from .core import Automaton
 from .dot import export_dot
 from .errors import CiaError
 from .experiment import (
+    BUDGET_S,
     OVER_MS,
     reduction_report,
     rows_from_csv,
@@ -142,16 +144,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    params = GenParams(
-        state_count_range=args.states,
-        target_beta=args.beta,
-        alphabet_size=args.alphabet_size,
-        kind_mix=args.kind_mix,
-        clique_bias=args.clique_bias,
-        pa_strength=args.pa_strength,
-        seed=args.seed,
-        avoid_deadlocks=args.avoid_deadlocks,
-    )
+    params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams)})
     pairs = generate_corpus(params, args.pairs, disjoint_alphabets=args.disjoint_alphabets)
     written = write_corpus(pairs, args.out)
     sys.stderr.write(f"wrote {len(written)} pair files to {args.out}\n")
@@ -227,7 +220,7 @@ def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
 
 def _build_parser() -> _Parser:
     out = _option("--out", help="output file (default stdout)")
-    timeout = _option("--timeout", type=float, default=7200.0, help="refinement budget, seconds")
+    timeout = _option("--timeout", type=float, default=BUDGET_S, help="refinement budget, seconds")
     fmt = _option("--format", choices=("csv", "json"), default="csv")
     files = _option("files", nargs="+")
     strict = _option("--strict-internal", action="store_true",
@@ -260,19 +253,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="write a seeded corpus of pairs")
     p.add_argument("--out", required=True, help="corpus directory")
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--beta", type=float, default=1.36, help="target scaling exponent")
-    p.add_argument("--states", type=_parse_states_range, default=(4, 24),
-                   help="state count range MIN..MAX")
-    p.add_argument("--clique-bias", type=float, default=0.3)
-    p.add_argument("--alphabet-size", type=int, default=4)
-    p.add_argument("--pa-strength", type=float, default=1.0)
-    p.add_argument("--kind-mix", type=_parse_mix, default=(0.4, 0.4, 0.2),
-                   help="input,output,internal proportions")
+    p.add_argument("--seed", type=int, help="random seed")
+    p.add_argument("--beta", dest="target_beta", metavar="BETA", type=float,
+                   help="target scaling exponent")
+    p.add_argument("--states", dest="state_count_range", metavar="STATES",
+                   type=_parse_states_range, help="state count range MIN..MAX")
+    p.add_argument("--clique-bias", type=float)
+    p.add_argument("--alphabet-size", type=int)
+    p.add_argument("--pa-strength", type=float)
+    p.add_argument("--kind-mix", type=_parse_mix, help="input,output,internal proportions")
     p.add_argument("--disjoint-alphabets", action="store_true")
     p.add_argument("--avoid-deadlocks", action="store_true",
                    help="route extra edges out of terminal states first")
-    p.set_defaults(func=_cmd_generate)
+    # every generator default is GenParams' own
+    p.set_defaults(func=_cmd_generate, **asdict(GenParams()))
 
     p = sub.add_parser("experiment", parents=[out, timeout, fmt, io_opts, strict],
                        help="compose/refine every corpus pair into CSV rows")

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 OVER_MS = 300_000  # five minutes
+BUDGET_S = 7200.0  # default refinement budget, two hours
 
 _log = logging.getLogger(__name__)
 
@@ -171,7 +172,7 @@ def run_pair(
     first: Automaton,
     second: Automaton,
     io_policy: str | IoSets = "open",
-    timeout: float = 7200.0,
+    timeout: float = BUDGET_S,
     deterministic_timing: bool = False,
     strict_internal: bool = False,
 ) -> ExperimentRow:
@@ -259,7 +260,7 @@ def _run_file(job: tuple[str, str], **options) -> ExperimentRow:
 def run_experiment(
     corpus_dir: str | Path,
     io_policy: str | IoSets = "open",
-    timeout: float = 7200.0,
+    timeout: float = BUDGET_S,
     workers: int = 1,
     deterministic_timing: bool = False,
     strict_internal: bool = False,

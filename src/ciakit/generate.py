@@ -96,15 +96,16 @@ class GenParams:
     avoid_deadlocks: bool = False
 
     def __post_init__(self) -> None:
-        lo, hi = self.state_count_range
-        if lo < 2 or hi < lo:
-            raise ValidationError(f"bad state count range {self.state_count_range!r}")
+        sizes = self.state_count_range
+        if len(sizes) != 2 or sizes[0] < 2 or sizes[1] < sizes[0]:
+            raise ValidationError(f"bad state count range {sizes!r}")
         if not 0.63 <= self.target_beta <= 2.0:
             raise ValidationError("target_beta must lie in [0.63, 2]")
         if self.alphabet_size < 1:
             raise ValidationError("alphabet_size must be >= 1")
-        if any(p < 0 for p in self.kind_mix) or not math.isclose(sum(self.kind_mix), 1.0):
-            raise ValidationError("kind_mix proportions must be non-negative and sum to 1")
+        mix = self.kind_mix
+        if len(mix) != 3 or any(p < 0 for p in mix) or not math.isclose(sum(mix), 1.0):
+            raise ValidationError("kind_mix must be three non-negative proportions summing to 1")
         if not 0.0 <= self.clique_bias <= 1.0:
             raise ValidationError("clique_bias must lie in [0, 1]")
         if self.pa_strength < 0:

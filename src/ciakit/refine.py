@@ -32,7 +32,7 @@ an ``Automaton`` (index the sorted states, name the blocks):
    are sparse: round 1 splits by the set of enabled labels (non-empty
    rows), which is what a full signature over one block tells apart, and
    later rounds key a node by its block and the reached sets of its
-   non-empty rows only, in label order.  Nodes of one block enable the same
+   non-empty rows only, in label-id order.  Nodes of one block enable the same
    labels, so their lists line up.  Interning rows (a node keeps a fixed
    profile of row ids) lets a round build one reached-block set per
    distinct row value, not one per node and label.
@@ -215,7 +215,7 @@ def refine_indexed(
             stats.elapsed_s = elapsed
             raise RefinementTimeout(elapsed, timeout)
 
-    n, labels, edges = indexed
+    n, _, edges = indexed
     internal = indexed.internal()
     silent: list[list[int]] = [[] for _ in range(n)]
     for flat, is_internal in zip(edges, internal):
@@ -240,15 +240,15 @@ def refine_indexed(
 
     closure = _propagate([1 << c for c in range(k)], inner)
     row_id: dict[int, int] = {}
-    # profile[c]: row ids of c's non-empty saturated rows, in canonical label
-    # order; enabled[c]: bitmask of the labels those rows belong to.  Lists,
+    # profile[c]: row ids of c's non-empty saturated rows, in label-id order;
+    # enabled[c]: bitmask of the labels those rows belong to.  Lists,
     # not tuples: freed tuples linger on per-size free lists and raise peak memory.
     if strict_internal:
         profile: list[list[int]] = [[] for _ in range(k)]
     else:  # the closure row is never empty, so it does not split the label set
         profile = [[row_id.setdefault(row, len(row_id))] for row in closure]
     enabled = [0] * k
-    for position, lid in enumerate(sorted(row_labels, key=lambda lid: labels[lid].sort_key())):
+    for position, lid in enumerate(row_labels):
         bit = 1 << position
         step = [0] * k
         flat = edges[lid]

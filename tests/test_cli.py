@@ -13,6 +13,7 @@ from ciakit import (
     compose_pairwise_reduce,
     default_io_sets,
     fit_logistic,
+    generate_corpus,
     generate_primitive,
     metrics_record,
     parse_automata,
@@ -20,6 +21,7 @@ from ciakit import (
     reachable,
     run_experiment,
     serialize_automaton,
+    write_corpus,
 )
 from ciakit.experiment import rows_from_csv, rows_to_csv
 from conftest import aut, handshake_pair, nested_document
@@ -426,6 +428,26 @@ def test_generate_needs_out_dir(capsys):
         main(["generate", "--pairs", "1"])
     assert err.value.code == 1
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, params, disjoint", [
+    ([], GenParams(), False),
+    # every generator flag, each away from its default
+    (["--seed", "11", "--beta", "1.5", "--states", "6..15", "--clique-bias", "0.45",
+      "--alphabet-size", "3", "--pa-strength", "0.7", "--kind-mix", "0.3,0.3,0.4",
+      "--avoid-deadlocks", "--disjoint-alphabets"],
+     GenParams(state_count_range=(6, 15), target_beta=1.5, alphabet_size=3,
+               kind_mix=(0.3, 0.3, 0.4), clique_bias=0.45, pa_strength=0.7, seed=11,
+               avoid_deadlocks=True), True),
+], ids=["defaults", "every-flag"])
+def test_generate_writes_the_library_corpus(tmp_path, flags, params, disjoint):
+    cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+    assert main(["generate", "--pairs", "4", "--out", str(cli_dir), *flags]) == 0
+    write_corpus(generate_corpus(params, 4, disjoint_alphabets=disjoint), lib_dir)
+    names = sorted(path.name for path in lib_dir.iterdir())
+    assert sorted(path.name for path in cli_dir.iterdir()) == names
+    for name in names:
+        assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes(), name
 
 
 def test_generate_kind_mix_needs_three_parts(tmp_path, capsys):

@@ -52,10 +52,19 @@ class TestGenerateParams:
             GenParams(state_count_range=(1, 5))
         with pytest.raises(ValidationError):
             GenParams(state_count_range=(8, 4))
+        with pytest.raises(ValidationError, match="^bad state count range"):
+            GenParams(state_count_range=(4, 8, 12))
+        with pytest.raises(ValidationError, match="^bad state count range"):
+            GenParams(state_count_range=(4,))
         with pytest.raises(ValidationError):
             GenParams(target_beta=2.4)
         with pytest.raises(ValidationError):
             GenParams(kind_mix=(0.5, 0.5, 0.5))
+        # the right total but not one proportion per kind
+        with pytest.raises(ValidationError, match="^kind_mix must be three"):
+            GenParams(kind_mix=(0.5, 0.5))
+        with pytest.raises(ValidationError, match="^kind_mix must be three"):
+            GenParams(kind_mix=(0.25, 0.25, 0.25, 0.25))
         with pytest.raises(ValidationError):
             GenParams(clique_bias=1.5)
         with pytest.raises(ValidationError):

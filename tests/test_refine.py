@@ -23,7 +23,10 @@ from ciakit import (
     serialize_automaton,
     weak_bisim_relation,
 )
-from ciakit.refine import _silent_sccs
+from ciakit.compose import reachable_product
+from ciakit.core import Indexed
+from ciakit.generate import SplitMix64
+from ciakit.refine import _silent_sccs, refine_indexed
 from conftest import aut, handshake_pair, random_automaton
 from oracles import (
     mutual_reachability_classes,
@@ -490,6 +493,38 @@ def test_pinned_stats_and_partition_on_large_composites(case):
     assert part.block_count() == blocks
     text = "\n".join(" ".join(sorted(block)) for block in part.blocks)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def label_numbering_cases():
+    """Indexed forms of random automata and of reachable corpus products."""
+    forms = [Indexed.of(random_automaton(seed, max_states=20))[0] for seed in range(40)]
+    for first, second in generate_corpus(GenParams(state_count_range=(4, 12), seed=3), 10):
+        forms.append(reachable_product([first, second], default_io_sets([first, second])))
+    return forms
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_refinement_ignores_label_numbering(strict):
+    # renumbering the label table (each label moving with its edge list) must
+    # not change the partition or any work counter
+    for seed, form in enumerate(label_numbering_cases()):
+        rng = SplitMix64(seed)
+        order = list(range(len(form.labels)))
+        for i in range(len(order) - 1, 0, -1):
+            j = rng.randint(0, i)
+            order[i], order[j] = order[j], order[i]
+        shuffled = Indexed(form.n, [form.labels[i] for i in order],
+                           [form.edges[i] for i in order])
+        results = []
+        for indexed in (form, shuffled):
+            stats = RefineStats()
+            block, count = refine_indexed(indexed, strict_internal=strict, stats=stats)
+            members: list[set[int]] = [set() for _ in range(count)]
+            for state, b in enumerate(block):
+                members[b].add(state)
+            results.append(({frozenset(group) for group in members},
+                             (stats.sweeps, stats.refine_steps, stats.splitter_evals)))
+        assert results[0] == results[1], f"form {seed}"
 
 
 class TestFullPipelineOnHandshake:
