@@ -17,11 +17,11 @@ One explorer builds every composite.  It reads each component's indexed
 form (``core.Indexed.of``, which numbers the sorted states), codes a product
 state as one integer and runs a worklist from a seed set of product states,
 appending each move to its label's edge list (``core.Indexed``).
-``compose`` seeds it with every product state; ``reachable_composite`` and
-the experiment pipeline seed it with the initial states, which gives
-``reachable(compose(...))`` without building the unreachable part.
-Composite states are named with tuple tokens ``(q1,q2,...)`` only when an
-``Automaton`` is returned.
+``compose`` seeds it with every product state; ``compose_pairwise_reduce``
+and the experiment pipeline seed it with the initial states, which gives
+``reachable(compose(...))`` without building the unreachable part, and
+refine that indexed form as it is.  Composite states are named with tuple
+tokens ``(q1,q2,...)`` only when an ``Automaton`` is returned.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .core import Automaton, Hierarchy, Indexed, Label, LabelKind, Transition
 from .errors import ValidationError
-from .refine import partition_refine, quotient
+from .refine import Partition, quotient, refine_indexed
 
 __all__ = ["IoSets", "default_io_sets", "resolve_io", "compose", "compose_pairwise_reduce"]
 
@@ -213,9 +213,8 @@ class _Product:
             pos += 1
         return Indexed(len(codes), labels, edges), codes
 
-    def automaton(self, indexed: Indexed, codes: list[int]) -> Automaton:
-        """Name the explored states with tuple tokens ``(q1,q2,...)``."""
-        tokens = [self.token(code) for code in codes]
+    def automaton(self, indexed: Indexed, tokens: list[str]) -> Automaton:
+        """The explored states under their tuple tokens ``(q1,q2,...)``."""
         return Automaton(
             name="".join(a.name for a in self.components),
             states=frozenset(tokens),
@@ -233,13 +232,8 @@ class _Product:
 def compose(components: Sequence[Automaton], io: IoSets) -> Automaton:
     """N-ary product composition under the four transition classes."""
     prod = _Product(components, io)
-    return prod.automaton(*prod.explore(range(prod.size)))
-
-
-def reachable_composite(components: Sequence[Automaton], io: IoSets) -> Automaton:
-    """``reachable(compose(components, io))``, exploring only reachable states."""
-    prod = _Product(components, io)
-    return prod.automaton(*prod.explore(prod.initial_codes()))
+    indexed, codes = prod.explore(range(prod.size))
+    return prod.automaton(indexed, list(map(prod.token, codes)))
 
 
 def reachable_product(components: Sequence[Automaton], io: IoSets) -> Indexed:
@@ -278,7 +272,9 @@ def compose_pairwise_reduce(
             (io.provided | later_io.required) - pending,
             (io.required | later_io.provided) - pending,
         )
-        composite = reachable_composite([acc, nxt], step)
-        partition = partition_refine(composite, timeout, strict_internal=strict_internal)
-        acc = quotient(composite, partition)
+        prod = _Product([acc, nxt], step)
+        indexed, codes = prod.explore(prod.initial_codes())
+        tokens = list(map(prod.token, codes))
+        block, _ = refine_indexed(indexed, timeout, strict_internal)
+        acc = quotient(prod.automaton(indexed, tokens), Partition.grouped(tokens, block))
     return acc

@@ -72,9 +72,13 @@ class SplitMix64:
         return seq[self.randint(0, len(seq) - 1)]
 
     def pick_weighted(self, weights: Sequence[float]) -> int:
-        """Index ``i`` with probability ``weights[i] / sum(weights)``."""
-        u = self.random() * sum(weights)
-        return min(bisect_right(list(accumulate(weights)), u), len(weights) - 1)
+        """Index ``i`` with probability ``weights[i] / sum(weights)``.
+
+        The total is the last running sum, the one ``bisect`` searches:
+        ``sum()`` of floats rounds differently from CPython 3.12 on.
+        """
+        totals = list(accumulate(weights))
+        return min(bisect_right(totals, self.random() * totals[-1]), len(weights) - 1)
 
 
 @dataclass(frozen=True)

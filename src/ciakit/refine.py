@@ -11,7 +11,7 @@ so a silent move never has to reproduce the specific internal label; the
 Weak bisimulation is strong bisimulation on this silently saturated
 relation.  ``refine_indexed`` computes it on an indexed automaton
 (``core.Indexed``) in three steps; ``partition_refine`` is its adapter for
-an ``Automaton`` (index the sorted states, name the blocks):
+an ``Automaton`` (index the sorted states, group them by block id):
 
 1. Condense the silent graph, built from the internal labels' edge lists
    alone, into its strongly connected components (Tarjan); a sink state,
@@ -46,7 +46,7 @@ by running it on their disjoint union).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Iterable
 
@@ -89,6 +89,14 @@ class Partition:
             seen |= block
             out.append(block)
         return cls(tuple(sorted(out, key=_block_key)))
+
+    @classmethod
+    def grouped(cls, states: Iterable[str], block: Iterable[int]) -> "Partition":
+        """The partition that puts ``states[i]`` in the block with id ``block[i]``."""
+        members: dict[int, list[str]] = {}
+        for state, b in zip(states, block):
+            members.setdefault(b, []).append(state)
+        return cls.from_blocks(map(frozenset, members.values()))
 
     def block_count(self) -> int:
         return len(self.blocks)
@@ -302,11 +310,8 @@ def partition_refine(
     partial partition is discarded and RefinementTimeout raised.
     """
     indexed, states = Indexed.of(automaton)
-    block, count = refine_indexed(indexed, timeout, strict_internal, stats)
-    members: list[list[str]] = [[] for _ in range(count)]
-    for state, b in zip(states, block):
-        members[b].append(state)
-    return Partition.from_blocks(frozenset(group) for group in members)
+    block, _ = refine_indexed(indexed, timeout, strict_internal, stats)
+    return Partition.grouped(states, block)
 
 
 def quotient_triples(triples: Iterable[tuple], block, internal) -> set[tuple]:
@@ -338,13 +343,11 @@ def quotient(automaton: Automaton, partition: Partition) -> Automaton:
     # transitions share label objects: keying by identity hashes each label once
     labels = {id(label): label for _, label, _ in automaton.transitions}.values()
     internal = {label: label.kind is LabelKind.INTERNAL for label in labels}
-    return Automaton(
-        name=automaton.name,
+    return replace(
+        automaton,
         states=frozenset(name.values()),
-        actions=automaton.actions,
         transitions=quotient_triples(automaton.transitions, name, internal),
         initial=frozenset(name[state] for state in automaton.initial),
-        hierarchy=automaton.hierarchy,
     )
 
 

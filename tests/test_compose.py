@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from ciakit import (
     partition_refine,
     quotient,
     reachable,
+    serialize_automaton,
 )
 from ciakit.compose import resolve_io
 from conftest import aut, handshake_pair
@@ -147,6 +150,9 @@ class TestReachableComposite:
         assert reachable(c).states == expected
 
 
+FOLD_SHA256 = "d57ba96631d5fe0534a515434480c5d3f791e3a2c76623e26eb779deda6412f4"
+
+
 class TestPairwiseReduce:
     def test_two_components_equal_single_fold(self):
         a, b = handshake_pair()
@@ -195,6 +201,19 @@ class TestPairwiseReduce:
         comps = [aut(n, (n,), ["s0"]) for n in ("A", "B", "C")]
         with pytest.raises(ValidationError, match="unknown actions"):
             compose_pairwise_reduce(comps, IoSets(frozenset({"zz"}), frozenset()))
+
+    def test_pinned_output(self):
+        """sha256 of the serialized folds of 4 generated components, seeds
+        1..5, open and closed io, both semantics; any change of output moves it."""
+        digest = hashlib.sha256()
+        for seed in range(1, 6):
+            corpus = generate_corpus(GenParams(state_count_range=(4, 9), seed=seed), 2)
+            comps = [automaton for pair in corpus for automaton in pair]
+            for io in (default_io_sets(comps), IoSets.closed()):
+                for strict in (False, True):
+                    folded = compose_pairwise_reduce(comps, io, strict_internal=strict)
+                    digest.update(serialize_automaton(folded).encode())
+        assert digest.hexdigest() == FOLD_SHA256
 
 
 NAMES = ("A", "B", "C", "D")

@@ -43,6 +43,15 @@ class TestSplitMix64:
         rng = SplitMix64(1)
         assert all(0.0 <= rng.random() < 1.0 for _ in range(100))
 
+    def test_pick_weighted_scales_by_the_searched_total(self):
+        # sum() of these floats differs from their last running sum on
+        # CPython 3.12 and later; scaling by it would pick the last index
+        class TopDraw(SplitMix64):
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        assert TopDraw(0).pick_weighted([0.1] * 10 + [1e-17]) == 9
+
 
 class TestGenerateParams:
     def test_invalid_params_rejected(self):
