@@ -21,13 +21,14 @@ worker killed, say) is logged once and every pair it had not finished
 becomes an error row; the rows already computed stay, in file order.
 
 Timing: ``elapsed_ms`` is the wall-clock time of refining the indexed form
-by default, a float of milliseconds written as its exact ``repr``; composing,
-indexing and the quotient are not in it, so it reads lower than timing the
-public ``partition_refine`` would.  With ``deterministic_timing`` it records
-the refinement work counter instead, an integer
+by default, a float of milliseconds written as its exact ``repr``;
+composing, indexing and the quotient are not in it, so it reads lower than
+timing the public ``partition_refine`` would.  With ``deterministic_timing``
+it records the refinement work counter instead, an integer
 (``RefineStats.work_units()``: saturated label rows plus node signatures
-computed), which makes repeated runs byte-identical; the wall clock still
-enforces the timeout either way.
+computed; past the first round, which signs every node, only nodes that
+still share a block count), which makes repeated runs byte-identical; the
+wall clock still enforces the timeout either way.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ import csv
 import io
 import logging
 import statistics
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, repeat
@@ -276,6 +275,10 @@ def run_experiment(
     workers = min(workers, len(jobs))  # a pool starts every worker it may use
     if workers <= 1:
         return [run(job) for job in jobs]
+    # imported here: the pool pulls in multiprocessing, which one worker never needs
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     rows = []
     broken = None
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -24,18 +24,23 @@ an ``Automaton`` (index the sorted states, group them by block id):
    list, computes closure;l;closure.
    A pass visits only the nodes with silent successors; every other row is
    its direct step.  In the default semantics every internal label shares
-   the closure row.
+   the closure row.  It runs after round 1 of step 3, which decides
+   the labels worth saturating.
 3. Refine by signatures: a node's signature is its block plus, per label,
    the set of blocks its saturated row reaches.  Splitting by signature
-   until the block count stops growing gives the coarsest stable partition,
-   i.e. the states modulo weak bisimilarity, which is unique.  Signatures
-   are sparse: round 1 splits by the set of enabled labels (non-empty
-   rows), which is what a full signature over one block tells apart, and
-   later rounds key a node by its block and the reached sets of its
-   non-empty rows only, in label-id order.  Nodes of one block enable the same
-   labels, so their lists line up.  Interning rows (a node keeps a fixed
-   profile of row ids) lets a round build one reached-block set per
-   distinct row value, not one per node and label.
+   until no block splits gives the coarsest stable partition, i.e. the
+   states modulo weak bisimilarity, which is unique.  Round 1 splits by the
+   set of enabled labels (non-empty rows), which is what a full signature
+   over one block tells apart.  It needs no rows: each node's mask of the
+   labels on its own edges, propagated once over the SCC DAG, is that set.
+   A block only ever splits, so a node alone in its block after round 1 is
+   settled; only live nodes, those sharing a block, go on.  Step 2 saturates
+   just the labels live nodes enable and keeps their rows alone, and later
+   rounds key only live nodes, by block and the reached sets of their
+   non-empty rows (nodes of one block enable the same labels, so their lists
+   line up), dropping each node its round leaves alone.  Interning rows (a
+   live node keeps a fixed profile of row ids) lets a round build one
+   reached-block set per distinct row value, not one per node and label.
 
 ``weak_bisim_relation`` is a brute-force greatest-fixpoint weak-bisimulation
 oracle on one small automaton, kept independent of the engine to cross-check
@@ -46,8 +51,9 @@ by running it on their disjoint union).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable
 
 from .core import Automaton, Indexed, Label, LabelKind
@@ -104,30 +110,44 @@ class Partition:
 
 @dataclass
 class RefineStats:
-    """Deterministic work counters filled in by ``refine_indexed``.
+    """Deterministic counters filled in by ``refine_indexed``, summed over calls.
 
-    ``sweeps`` counts signature rounds, ``refine_steps`` the saturated label
-    rows computed (the default semantics' shared closure row included), and
-    ``splitter_evals`` the node signatures computed (SCC nodes times
-    rounds).  The first round, the split by enabled labels, counts as a
-    round and one signature per node.  ``elapsed_s`` is the wall-clock time
-    spent in ``refine_indexed``.
+    Work done: ``sweeps`` counts signature rounds, ``refine_steps`` the
+    saturated label rows computed (the default semantics' shared closure row
+    included), and ``splitter_evals`` the node signatures computed.  Round 1,
+    the split by enabled labels, counts as a round and one signature per SCC
+    node; a later round counts one signature per node still sharing its
+    block.  Only labels enabled by such nodes are saturated, so when round 1
+    leaves every node alone in its block, no row is.
+
+    Structure: ``sccs`` is the number of silent SCCs (refinement's nodes),
+    ``largest_scc`` the most states in one (the maximum over calls),
+    ``shared`` the nodes that share a block after round 1 and ``blocks`` the
+    final block count.  ``elapsed_s`` is the wall-clock time spent in
+    ``refine_indexed``.
     """
 
     sweeps: int = 0
     refine_steps: int = 0
     splitter_evals: int = 0
+    sccs: int = 0
+    largest_scc: int = 0
+    shared: int = 0
+    blocks: int = 0
     elapsed_s: float = 0.0
 
     def work_units(self) -> int:
         return self.refine_steps + self.splitter_evals
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, highest first."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    return out
 
 
 def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int]:
@@ -223,6 +243,11 @@ def refine_indexed(
             stats.elapsed_s = elapsed
             raise RefinementTimeout(elapsed, timeout)
 
+    def done(block: list[int], count: int) -> tuple[list[int], int]:
+        stats.blocks += count
+        stats.elapsed_s = time.perf_counter() - started
+        return [block[c] for c in comp], count
+
     n, _, edges = indexed
     internal = indexed.internal()
     silent: list[list[int]] = [[] for _ in range(n)]
@@ -244,58 +269,99 @@ def refine_indexed(
                 dag[comp[src]].add(comp[dst])
     # only nodes with silent successors can gain targets from propagation
     inner = [(c, succs) for c, succs in enumerate(dag) if succs]
+    stats.sccs += k
+    stats.largest_scc = max(stats.largest_scc, max(Counter(comp).values(), default=0))
     check_budget()
 
-    closure = _propagate([1 << c for c in range(k)], inner)
-    row_id: dict[int, int] = {}
-    # profile[c]: row ids of c's non-empty saturated rows, in label-id order;
-    # enabled[c]: bitmask of the labels those rows belong to.  Lists,
-    # not tuples: freed tuples linger on per-size free lists and raise peak memory.
-    if strict_internal:
-        profile: list[list[int]] = [[] for _ in range(k)]
-    else:  # the closure row is never empty, so it does not split the label set
-        profile = [[row_id.setdefault(row, len(row_id))] for row in closure]
+    # Round 1 splits by the set of enabled labels (non-empty saturated rows),
+    # as a dense signature with an empty reached set per disabled label would.
+    # A row is non-empty iff some node of the silent closure has an edge of
+    # its label, so one propagation of each node's own label mask finds them.
+    stats.sweeps += 1
+    stats.splitter_evals += k
     enabled = [0] * k
     for position, lid in enumerate(row_labels):
         bit = 1 << position
-        step = [0] * k
-        flat = edges[lid]
-        for src, dst in zip(flat[::2], flat[1::2]):
-            step[comp[src]] |= closure[comp[dst]]
-        _propagate(step, inner)
-        for c in compress(range(k), step):
-            profile[c].append(row_id.setdefault(step[c], len(row_id)))
+        for c in set(map(comp.__getitem__, edges[lid][::2])):
             enabled[c] |= bit
-        check_budget()
-    stats.refine_steps += len(row_labels) + (not strict_internal)
-    targets = [list(_bits(row)) for row in row_id]
-    del closure, row_id
-
-    # Round 1 splits by the set of enabled labels, as a dense signature with
-    # an empty reached set per disabled label would; nodes of one block then
-    # share their labels, so their sparse profiles line up position by position.
-    check_budget()
-    stats.sweeps += 1
-    stats.splitter_evals += k
+    _propagate(enabled, inner)
     label_sets: dict[int, int] = {}
     block = [label_sets.setdefault(mask, len(label_sets)) for mask in enabled]
     count = len(label_sets)
-    while count > 1:
+    # A block only ever splits, so a node alone in its block is settled: from
+    # here on only the live nodes, those sharing a block, get rows and signatures.
+    size = Counter(block)
+    live = [c for c, b in enumerate(block) if size[b] > 1]
+    stats.shared += len(live)
+    if not live:
+        return done(block, count)
+
+    # Saturate the labels live nodes enable.  Propagation still covers every
+    # node: a live node's row can run through a settled node's edges.
+    wanted = 0
+    for mask, b in label_sets.items():
+        if size[b] > 1:
+            wanted |= mask
+    closure = _propagate([1 << c for c in range(k)], inner)
+    row_id: dict[int, int] = {}
+    # profile[i]: row ids of live[i]'s non-empty saturated rows, in one fixed
+    # label order; nodes of one block enable the same labels, so their
+    # profiles line up.  Lists, not tuples: freed tuples linger on per-size
+    # free lists and raise peak memory.
+    if strict_internal:
+        profile: list[list[int]] = [[] for _ in live]
+    else:  # the closure row is never empty, so it does not split the label set
+        profile = [[row_id.setdefault(closure[c], len(row_id))] for c in live]
+    for position in _bits(wanted):
+        step = [0] * k
+        flat = edges[row_labels[position]]
+        for src, dst in zip(flat[::2], flat[1::2]):
+            step[comp[src]] |= closure[comp[dst]]
+        _propagate(step, inner)
+        rows = list(map(step.__getitem__, live))
+        for i in compress(range(len(live)), rows):
+            profile[i].append(row_id.setdefault(rows[i], len(row_id)))
+        check_budget()
+    stats.refine_steps += wanted.bit_count() + (not strict_internal)
+    targets = [_bits(row) for row in row_id]
+    del closure, row_id
+
+    # Later rounds key live nodes by block and the blocks their rows reach;
+    # settled nodes keep their ids, which the reached sets still use.
+    live_blocks = count - (k - len(live))
+    while live:
         check_budget()
         stats.sweeps += 1
-        stats.splitter_evals += k
-        reached = [frozenset(map(block.__getitem__, nodes)) for nodes in targets]
+        stats.splitter_evals += len(live)
+        reached = {
+            r: frozenset(map(block.__getitem__, targets[r]))
+            for r in set(chain.from_iterable(profile))
+        }
         ids: dict[tuple, int] = {}
-        refined = [
-            ids.setdefault((b, tuple(map(reached.__getitem__, p))), len(ids))
-            for b, p in zip(block, profile)
+        keys = [
+            ids.setdefault((block[c], tuple(map(reached.__getitem__, p))), len(ids))
+            for c, p in zip(live, profile)
         ]
-        if len(ids) == count:
+        if len(ids) == live_blocks:
             break
-        block, count = refined, len(ids)
-
-    stats.elapsed_s = time.perf_counter() - started
-    return [block[c] for c in comp], count
+        # a split block keeps its id for its first part; the others get new ones
+        fresh: list[int] = []
+        kept: set[int] = set()
+        for b, _ in ids:
+            if b in kept:
+                fresh.append(count)
+                count += 1
+            else:
+                kept.add(b)
+                fresh.append(b)
+        for c, j in zip(live, keys):
+            block[c] = fresh[j]
+        size = Counter(keys)
+        shared = [size[j] > 1 for j in keys]
+        live = list(compress(live, shared))
+        profile = list(compress(profile, shared))
+        live_blocks = sum(s > 1 for s in size.values())
+    return done(block, count)
 
 
 def partition_refine(

@@ -30,7 +30,7 @@ from ciakit.experiment import (
     rows_from_csv,
     rows_to_csv,
 )
-from conftest import handshake_pair, nested_document
+from conftest import handshake_pair, nested_document, python_output
 
 # small seeded pairs with internal labels and synchronization cliques
 MANUAL_PAIRS = generate_corpus(
@@ -171,6 +171,12 @@ class TestRunExperiment:
         assert [r.status for r in rows] == ["ok", "error"]
         assert caplog.records == []
 
+    def test_import_loads_no_process_pool(self):
+        # the pool's modules load only when a run asks for several workers
+        pool = "{'concurrent.futures.process', 'multiprocessing'}"
+        probe = f"import ciakit, ciakit.cli, sys; print(sorted({pool} & set(sys.modules)))"
+        assert python_output(probe).strip() == "[]"
+
     def test_pool_no_larger_than_the_pair_count(self, tmp_path, monkeypatch):
         corpus = tmp_path / "corpus"
         write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 3), corpus)
@@ -188,7 +194,7 @@ class TestRunExperiment:
                 future.set_result(fn(job))
                 return future
 
-        monkeypatch.setattr("ciakit.experiment.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         assert run_experiment(corpus, workers=8, deterministic_timing=True) == expected
         assert sizes == [3]
         for extra in ("pair00001.cia", "pair00002.cia"):
@@ -218,7 +224,7 @@ class TestRunExperiment:
                     future.set_result(fn(job))
                 return future
 
-        monkeypatch.setattr("ciakit.experiment.ProcessPoolExecutor", BreakingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BreakingPool)
         with caplog.at_level(logging.ERROR, logger="ciakit.experiment"):
             rows = run_experiment(corpus, workers=2, deterministic_timing=True)
         assert [r.pair_id for r in rows] == [r.pair_id for r in expected]
@@ -249,7 +255,7 @@ class TestRunExperiment:
                 future.set_result(fn(job))
                 return future
 
-        monkeypatch.setattr("ciakit.experiment.ProcessPoolExecutor", PoolBreakingOnThirdSubmit)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", PoolBreakingOnThirdSubmit)
         with caplog.at_level(logging.ERROR, logger="ciakit.experiment"):
             rows = run_experiment(corpus, workers=2, deterministic_timing=True)
         assert submitted == ["pair00000", "pair00001", "pair00002"]

@@ -233,6 +233,13 @@ class TestPartitionRefine:
         assert stats.splitter_evals > 0
         assert stats.work_units() == stats.refine_steps + stats.splitter_evals
 
+    def test_structural_counters(self):
+        # a silent ring of three states and a state outside it
+        ring = [("s0", TAU, "s1"), ("s1", TAU, "s2"), ("s2", TAU, "s0"), ("s2", IN_A, "s3")]
+        stats = RefineStats()
+        partition_refine(aut(states=["s0", "s1", "s2", "s3"], trans=ring), stats=stats)
+        assert (stats.sccs, stats.largest_scc, stats.shared, stats.blocks) == (2, 3, 0, 2)
+
     def test_strict_internal_distinguishes_chain(self):
         chain = silent_chain()
         assert partition_refine(chain).block_count() == 1
@@ -408,6 +415,53 @@ def test_enabled_labels_split_before_targets(strict, silent_prefix):
     assert set(part.blocks) == oracle_classes(a, strict_internal=strict)
 
 
+# p and q share a block after round 1 while u, whose a-edge p's a-row runs
+# through, is alone in its own.  In the first case p and q must end up apart;
+# in the second they are weakly bisimilar only because that edge counts for q.
+SETTLED_RELAY = {
+    "apart": ([("p", TAU, "u"), ("u", IN_A, "x"), ("p", IN_B, "w"), ("q", IN_A, "y"),
+               ("q", IN_B, "w"), ("y", IN_B, "w")], False, {False: (4, 3), True: (2, 0)}),
+    "together": ([("p", TAU, "u"), ("q", TAU, "u"), ("u", IN_A, "x"), ("p", IN_A, "x"),
+                  ("p", IN_B, "w"), ("q", IN_B, "w")], True, {False: (4, 3), True: (4, 3)}),
+}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@pytest.mark.parametrize("case", SETTLED_RELAY)
+def test_shared_block_row_runs_through_a_settled_node(case, strict):
+    trans, together, counters = SETTLED_RELAY[case]
+    a = aut(states=sorted({s for s, _, _ in trans} | {d for _, _, d in trans}), trans=trans)
+    stats = RefineStats()
+    part = partition_refine(a, strict_internal=strict, stats=stats)
+    assert frozenset({"u"}) in part.blocks
+    assert any({"p", "q"} <= block for block in part.blocks) == together
+    assert set(part.blocks) == oracle_classes(a, strict_internal=strict)
+    # (nodes sharing a block after round 1, saturated rows); strict round 1
+    # already splits the first case's p (it enables the silent label) from q
+    assert (stats.shared, stats.refine_steps) == counters[strict]
+
+
+def visible_chain():
+    # s0 -a-> s1 -b-> s2: every state enables its own label set
+    return aut(states=["s0", "s1", "s2"], trans=[("s0", IN_A, "s1"), ("s1", IN_B, "s2")])
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+def test_round_one_singletons_saturate_no_row(strict):
+    a = visible_chain()
+    stats = RefineStats()
+    part = partition_refine(a, strict_internal=strict, stats=stats)
+    assert set(part.blocks) == oracle_classes(a, strict_internal=strict)
+    assert part.block_count() == stats.blocks == 3
+    assert (stats.sweeps, stats.refine_steps, stats.splitter_evals) == (1, 0, 3)
+    assert (stats.sccs, stats.largest_scc, stats.shared) == (3, 1, 0)
+
+
+def test_zero_budget_raises_when_round_one_ends_refinement():
+    with pytest.raises(RefinementTimeout):
+        partition_refine(visible_chain(), timeout=0.0)
+
+
 # Silent and visible labels over two components, for automata whose states
 # differ mostly in which labels they enable.
 LABEL_POOL = SILENT + VISIBLE + (Label("A", "c", None), Label(None, "d", "B"))
@@ -472,11 +526,11 @@ PINNED = [
     # (params, pair index, io, strict_internal, states, sweeps, refine_steps,
     #  splitter_evals, blocks, partition digest)
     (GenParams(state_count_range=(24, 40), avoid_deadlocks=True, seed=7), 2, "open", False,
-     1170, 3, 17, 90, 21, "933e77d88d59dc2b"),
+     1170, 3, 17, 65, 21, "933e77d88d59dc2b"),
     (GenParams(state_count_range=(12, 24), clique_bias=0.4, seed=11), 0, "open", False,
-     408, 5, 17, 325, 33, "30fb131afedb03fc"),
+     408, 5, 17, 266, 33, "30fb131afedb03fc"),
     (GenParams(state_count_range=(12, 24), clique_bias=0.4, seed=13), 0, "closed", True,
-     387, 3, 16, 201, 32, "ca7a442d7fe1c371"),
+     387, 3, 16, 175, 32, "ca7a442d7fe1c371"),
 ]
 
 
@@ -490,7 +544,7 @@ def test_pinned_stats_and_partition_on_large_composites(case):
     stats = RefineStats()
     part = partition_refine(composite, strict_internal=strict, stats=stats)
     assert (stats.sweeps, stats.refine_steps, stats.splitter_evals) == (sweeps, steps, evals)
-    assert part.block_count() == blocks
+    assert part.block_count() == stats.blocks == blocks
     text = "\n".join(" ".join(sorted(block)) for block in part.blocks)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
