@@ -51,7 +51,6 @@ by running it on their disjoint union).
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, compress
 from typing import Iterable
@@ -150,10 +149,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int]:
+def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int, int]:
     """Iterative Tarjan over the silent graph.
 
-    Returns each state's component id and the component count.  Ids follow
+    Returns each state's component id, the component count and the size of
+    the largest component.  Ids follow
     emission order, so every silent edge leads to an equal or smaller id.
     A state with no silent successor is its own component: it gets its id
     where the search meets it, without entering the DFS.
@@ -164,6 +164,7 @@ def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int]:
     comp = [-1] * n
     stack: list[int] = []
     counter = count = 0
+    largest = 1 if n else 0
     for root in range(n):
         if comp[root] >= 0:
             continue
@@ -201,13 +202,15 @@ def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int]:
                     if low_v < low[parent]:
                         low[parent] = low_v
                 if low_v == index[v]:
+                    top = len(stack)
                     while True:
                         w = stack.pop()
                         comp[w] = count
                         if w == v:
                             break
+                    largest = max(largest, top - len(stack))
                     count += 1
-    return comp, count
+    return comp, count, largest
 
 
 def _propagate(rows: list[int], inner: list[tuple[int, set[int]]]) -> list[int]:
@@ -261,7 +264,7 @@ def refine_indexed(
         lid for lid, flat in enumerate(edges) if flat and (strict_internal or not internal[lid])
     ]
 
-    comp, k = _silent_sccs(silent)
+    comp, k, largest = _silent_sccs(silent)
     dag: list[set[int]] = [set() for _ in range(k)]
     for src, targets in enumerate(silent):
         for dst in targets:
@@ -270,7 +273,7 @@ def refine_indexed(
     # only nodes with silent successors can gain targets from propagation
     inner = [(c, succs) for c, succs in enumerate(dag) if succs]
     stats.sccs += k
-    stats.largest_scc = max(stats.largest_scc, max(Counter(comp).values(), default=0))
+    stats.largest_scc = max(stats.largest_scc, largest)
     check_budget()
 
     # Round 1 splits by the set of enabled labels (non-empty saturated rows),
@@ -282,15 +285,17 @@ def refine_indexed(
     enabled = [0] * k
     for position, lid in enumerate(row_labels):
         bit = 1 << position
-        for c in set(map(comp.__getitem__, edges[lid][::2])):
-            enabled[c] |= bit
+        for src in edges[lid][::2]:
+            enabled[comp[src]] |= bit
     _propagate(enabled, inner)
     label_sets: dict[int, int] = {}
     block = [label_sets.setdefault(mask, len(label_sets)) for mask in enabled]
     count = len(label_sets)
     # A block only ever splits, so a node alone in its block is settled: from
     # here on only the live nodes, those sharing a block, get rows and signatures.
-    size = Counter(block)
+    size = [0] * count
+    for b in block:
+        size[b] += 1
     live = [c for c, b in enumerate(block) if size[b] > 1]
     stats.shared += len(live)
     if not live:
@@ -356,11 +361,13 @@ def refine_indexed(
                 fresh.append(b)
         for c, j in zip(live, keys):
             block[c] = fresh[j]
-        size = Counter(keys)
+        size = [0] * len(ids)
+        for j in keys:
+            size[j] += 1
         shared = [size[j] > 1 for j in keys]
         live = list(compress(live, shared))
         profile = list(compress(profile, shared))
-        live_blocks = sum(s > 1 for s in size.values())
+        live_blocks = sum(s > 1 for s in size)
     return done(block, count)
 
 

@@ -509,12 +509,13 @@ def silent_graphs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(succ=silent_graphs())
 def test_silent_sccs_are_mutual_reachability_classes(succ):
-    comp, count = _silent_sccs(succ)
+    comp, count, largest = _silent_sccs(succ)
     assert sorted(set(comp)) == list(range(count))
     members: dict[int, set[int]] = {}
     for state, c in enumerate(comp):
         members.setdefault(c, set()).add(state)
     assert {frozenset(group) for group in members.values()} == mutual_reachability_classes(succ)
+    assert largest == max(map(len, members.values()))
     # saturation visits components in id order and relies on this
     assert all(comp[dst] <= comp[src] for src, targets in enumerate(succ) for dst in targets)
 
