@@ -349,7 +349,8 @@ def refine_indexed(
         ]
         if len(ids) == live_blocks:
             break
-        # a split block keeps its id for its first part; the others get new ones
+        # a split block keeps its id for its first part and the others take the
+        # next free ids, so ids stay 0..count-1 and settled nodes keep theirs
         fresh: list[int] = []
         kept: set[int] = set()
         for b, _ in ids:
