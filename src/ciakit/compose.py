@@ -26,6 +26,7 @@ tokens ``(q1,q2,...)`` only when an ``Automaton`` is returned.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -90,12 +91,8 @@ class _Product:
     def __init__(self, components: Sequence[Automaton], io: IoSets):
         if len(components) < 2:
             raise ValidationError("composition needs at least 2 components")
-        taken: set[str] = set()
-        for automaton in components:
-            clash = taken & automaton.hierarchy.leaf_names()
-            if clash:
-                raise ValidationError(f"component hierarchies overlap on {sorted(clash)!r}")
-            taken |= automaton.hierarchy.leaf_names()
+        # Hierarchy.node rejects a leaf name two components share
+        self.hierarchy = Hierarchy.node(*(a.hierarchy for a in components))
         self.actions = frozenset().union(*(a.actions for a in components))
         stray = (io.provided | io.required) - self.actions
         if stray:
@@ -214,10 +211,15 @@ class _Product:
         return Indexed(len(codes), labels, edges), codes
 
     def automaton(self, indexed: Indexed, tokens: list[str]) -> Automaton:
-        """The explored states under their tuple tokens ``(q1,q2,...)``."""
+        """The explored states under their tuple tokens ``(q1,q2,...)``; raises
+        ValidationError when two share one (component state names may hold ``,()``)."""
+        states = frozenset(tokens)
+        if len(states) < len(tokens):
+            clash = next(t for t, n in Counter(tokens).items() if n > 1)
+            raise ValidationError(f"composite state token {clash!r} names two product states")
         return Automaton(
             name="".join(a.name for a in self.components),
-            states=frozenset(tokens),
+            states=states,
             actions=self.actions,
             transitions=(
                 Transition(tokens[s], label, tokens[d])
@@ -225,7 +227,7 @@ class _Product:
                 for s, d in zip(flat[::2], flat[1::2])
             ),
             initial=frozenset(self.token(code) for code in self.initial_codes()),
-            hierarchy=Hierarchy.node(*(a.hierarchy for a in self.components)),
+            hierarchy=self.hierarchy,
         )
 
 

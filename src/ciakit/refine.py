@@ -14,8 +14,9 @@ relation.  ``refine_indexed`` computes it on an indexed automaton
 an ``Automaton`` (index the sorted states, group them by block id):
 
 1. Condense the silent graph, built from the internal labels' edge lists
-   alone, into its strongly connected components (Tarjan); a sink state,
-   one with no silent successor, is its own component and skips the DFS.
+   alone, into its strongly connected components (Tarjan); the sink states,
+   those with no silent successor, are numbered first, each its own
+   component, and the DFS skips them.
    States of one silent SCC have equal closures, hence equal saturated rows
    for every label in both semantics, so they are always weakly bisimilar;
    synchronization cliques collapse here.
@@ -153,24 +154,25 @@ def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int, int]:
     """Iterative Tarjan over the silent graph.
 
     Returns each state's component id, the component count and the size of
-    the largest component.  Ids follow
+    the largest component.  A state with no silent successor is its own
+    component: the sinks are numbered ``0 .. s-1`` in state order before the
+    search, which skips them as finished components.  The other ids follow
     emission order, so every silent edge leads to an equal or smaller id.
-    A state with no silent successor is its own component: it gets its id
-    where the search meets it, without entering the DFS.
     """
     n = len(silent)
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n
+    count = 0
+    for v, succs in enumerate(silent):
+        if not succs:
+            comp[v] = count
+            count += 1
     stack: list[int] = []
-    counter = count = 0
+    counter = 0
     largest = 1 if n else 0
     for root in range(n):
         if comp[root] >= 0:
-            continue
-        if not silent[root]:
-            comp[root] = count
-            count += 1
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -180,13 +182,9 @@ def _silent_sccs(silent: list[list[int]]) -> tuple[list[int], int, int]:
             v, succs = work[-1]
             low_v = low[v]
             for w in succs:
-                if comp[w] >= 0:  # in a finished component
+                if comp[w] >= 0:  # in a finished component, or a sink
                     continue
                 if index[w] < 0:
-                    if not silent[w]:
-                        comp[w] = count
-                        count += 1
-                        continue
                     low[v] = low_v
                     index[w] = low[w] = counter
                     counter += 1
@@ -246,10 +244,13 @@ def refine_indexed(
             stats.elapsed_s = elapsed
             raise RefinementTimeout(elapsed, timeout)
 
-    def done(block: list[int], count: int) -> tuple[list[int], int]:
-        stats.blocks += count
+    def done(block: list[int]) -> tuple[list[int], int]:
+        # number the block ids 0 .. count-1 in first-seen order
+        number: dict[int, int] = {}
+        block = [number.setdefault(b, len(number)) for b in block]
+        stats.blocks += len(number)
         stats.elapsed_s = time.perf_counter() - started
-        return [block[c] for c in comp], count
+        return [block[c] for c in comp], len(number)
 
     n, _, edges = indexed
     internal = indexed.internal()
@@ -299,7 +300,7 @@ def refine_indexed(
     live = [c for c, b in enumerate(block) if size[b] > 1]
     stats.shared += len(live)
     if not live:
-        return done(block, count)
+        return done(block)
 
     # Saturate the labels live nodes enable.  Propagation still covers every
     # node: a live node's row can run through a settled node's edges.
@@ -349,19 +350,11 @@ def refine_indexed(
         ]
         if len(ids) == live_blocks:
             break
-        # a split block keeps its id for its first part and the others take the
-        # next free ids, so ids stay 0..count-1 and settled nodes keep theirs
-        fresh: list[int] = []
-        kept: set[int] = set()
-        for b, _ in ids:
-            if b in kept:
-                fresh.append(count)
-                count += 1
-            else:
-                kept.add(b)
-                fresh.append(b)
+        # part j takes the fresh id count + j, above every id in use; settled
+        # nodes keep theirs, and done() compacts the ids once
         for c, j in zip(live, keys):
-            block[c] = fresh[j]
+            block[c] = count + j
+        count += len(ids)
         size = [0] * len(ids)
         for j in keys:
             size[j] += 1
@@ -369,7 +362,7 @@ def refine_indexed(
         live = list(compress(live, shared))
         profile = list(compress(profile, shared))
         live_blocks = sum(s > 1 for s in size)
-    return done(block, count)
+    return done(block)
 
 
 def partition_refine(

@@ -43,6 +43,13 @@ def handshake_pair():
     return a, b
 
 
+def colliding_pair():
+    """Two automata whose product states ``(a,b | c)`` and ``(a | b,c)`` share a token."""
+    x = aut("X", ("A",), ["a,b", "a"], [("a", ("A", "m", None), "a,b")], ["a"])
+    y = aut("Y", ("B",), ["c", "b,c"], [("c", (None, "m", "B"), "b,c")], ["c"])
+    return x, y
+
+
 def nested_document(levels: int) -> str:
     """A one-automaton document whose hierarchy nests ``levels`` deep: ``((…(A)…))``."""
     hierarchy = "(" * (levels - 1) + "(A)" + ")" * (levels - 1)

@@ -24,7 +24,7 @@ from ciakit import (
     write_corpus,
 )
 from ciakit.experiment import rows_from_csv, rows_to_csv
-from conftest import aut, handshake_pair, nested_document
+from conftest import aut, colliding_pair, handshake_pair, nested_document
 from oracles import weak_bisim_oracle
 
 MINIMAL = """\
@@ -152,6 +152,15 @@ class TestComposeRefine:
         folded = parse_automaton(capsys.readouterr().out)
         assert "(C,w,-)" in {t.label.render() for t in folded.transitions}
         assert weak_bisim_oracle(folded, nary)
+
+    @pytest.mark.parametrize("extra", [[], ["--pairwise"]], ids=["nary", "pairwise"])
+    def test_compose_rejects_colliding_state_tokens(self, extra, tmp_path, capsys):
+        path = tmp_path / "clash.cia"
+        path.write_text("".join(map(serialize_automaton, colliding_pair())), encoding="utf-8")
+        assert main(["compose", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'(a,b,c)' names two product states" in captured.err
 
     def test_refine(self, tmp_path, capsys):
         chain = aut(

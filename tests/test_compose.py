@@ -21,7 +21,7 @@ from ciakit import (
     serialize_automaton,
 )
 from ciakit.compose import resolve_io
-from conftest import aut, handshake_pair
+from conftest import aut, colliding_pair, handshake_pair
 from oracles import bfs_reachable_oracle, compose_oracle, weak_bisim_oracle
 
 
@@ -69,8 +69,14 @@ class TestCompose:
     def test_rejects_hierarchy_overlap(self):
         a, _ = handshake_pair()
         twin = aut("A2", ("A",), ["x0"])
-        with pytest.raises(ValidationError, match="overlap"):
+        with pytest.raises(ValidationError, match="not disjoint"):
             compose([a, twin], IoSets.closed())
+
+    @pytest.mark.parametrize("build", [compose, compose_pairwise_reduce])
+    def test_rejects_colliding_state_tokens(self, build):
+        components = colliding_pair()
+        with pytest.raises(ValidationError, match=r"'\(a,b,c\)' names two product states"):
+            build(components, default_io_sets(components))
 
     def test_rejects_unknown_io_actions(self):
         a, b = handshake_pair()
