@@ -13,10 +13,11 @@ sets.  Its transitions fall into four classes:
 * output    -- an output label fires alone, allowed only if its action is in
                the provided set P.
 
-One explorer builds every composite.  It reads each component's indexed
-form (``core.Indexed.of``, which numbers the sorted states), codes a product
-state as one integer and runs a worklist from a seed set of product states,
-appending each move to its label's edge list (``core.Indexed``).
+One explorer builds every composite.  It numbers each component's sorted
+states, builds move tables straight from the component's transitions, codes
+a product state as one integer and runs a worklist from a seed set of
+product states, appending each move to its label's edge list
+(``core.Indexed``).
 ``compose`` seeds it with every product state; ``compose_pairwise_reduce``
 and the experiment pipeline seed it with the initial states, which gives
 ``reachable(compose(...))`` without building the unreachable part, and
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from .core import Automaton, Hierarchy, Indexed, Label, LabelKind, Transition
@@ -80,12 +81,17 @@ def resolve_io(policy: str | IoSets, components: Iterable[Automaton]) -> IoSets:
 
 
 class _Product:
-    """Move tables of each component over its ``Indexed.of`` state numbers.
+    """Move tables of each component over the numbers of its sorted states.
 
     A product state is coded as one integer, ``sum(local_i * stride_i)``
     with the last component varying fastest, so codes ``0 .. size-1`` run
     in the order of the Cartesian product of the sorted state lists and a
     move of component ``i`` from ``s`` to ``t`` adds ``(t - s) * stride_i``.
+
+    Every label id is fixed here: solo labels in the order the transitions
+    first show them, then, sorted, each sync label that one component can
+    send and another receive.  A label that never fires keeps an empty edge
+    list, which refinement and metrics ignore.
     """
 
     def __init__(self, components: Sequence[Automaton], io: IoSets):
@@ -99,53 +105,61 @@ class _Product:
             raise ValidationError(f"io sets mention unknown actions {sorted(stray)!r}")
 
         self.components = components
-        forms = [Indexed.of(a) for a in components]
-        self.names = [names for _, names in forms]
+        self.names = [a.sorted_states() for a in components]
+        self.index = [{state: i for i, state in enumerate(names)} for names in self.names]
         self.strides = [1] * len(components)
         for i in range(len(components) - 2, -1, -1):
             self.strides[i] = self.strides[i + 1] * len(self.names[i + 1])
         self.size = self.strides[0] * len(self.names[0])
         self.labels: list[Label] = []
-        self._label_id: dict[tuple, int] = {}
+        label_id: dict[tuple, int] = {}
         # per component and local state: solo moves as (label id, code delta),
-        # and per action the halves of a sync move as (annotation, code delta)
+        # and per action the halves of a sync move, (row, code delta) to send
+        # and (receiver annotation, code delta) to receive; a sender's row
+        # maps receiver annotations to sync label ids
         self.solo, self.sends, self.receives = [], [], []
-        for (form, names), stride in zip(forms, self.strides):
+        # per component and action: each sender annotation's row, the receivers
+        senders, receivers = [], []
+        for a, names, index, stride in zip(components, self.names, self.index, self.strides):
             solo: list[list[tuple[int, int]]] = [[] for _ in names]
             sends: list[dict[str, list]] = [{} for _ in names]
             receives: list[dict[str, list]] = [{} for _ in names]
-            for label, flat in zip(form.labels, form.edges):
-                kind = label.kind
-                for src, dst in zip(flat[::2], flat[1::2]):
-                    delta = (dst - src) * stride
-                    if kind is LabelKind.OUTPUT:
-                        sends[src].setdefault(label.action, []).append((label.src, delta))
-                        if label.action not in io.provided:
-                            continue
-                    elif kind is LabelKind.INPUT:
-                        receives[src].setdefault(label.action, []).append((label.dst, delta))
-                        if label.action not in io.required:
-                            continue
-                    lid = self._intern(label.src, label.action, label.dst, label)
-                    solo[src].append((lid, delta))
+            rows: dict[str, dict[str, dict[str, int]]] = {}
+            heard: dict[str, set[str]] = {}
+            for source, label, target in a.transitions:
+                src, action = index[source], label.action
+                delta = (index[target] - src) * stride
+                if label.dst is None:  # output
+                    row = rows.setdefault(action, {}).setdefault(label.src, {})
+                    sends[src].setdefault(action, []).append((row, delta))
+                    if action not in io.provided:
+                        continue
+                elif label.src is None:  # input
+                    heard.setdefault(action, set()).add(label.dst)
+                    receives[src].setdefault(action, []).append((label.dst, delta))
+                    if action not in io.required:
+                        continue
+                lid = label_id.setdefault((label.src, action, label.dst), len(self.labels))
+                if lid == len(self.labels):
+                    self.labels.append(label)
+                solo[src].append((lid, delta))
             self.solo.append(solo)
             self.sends.append(sends)
             self.receives.append(receives)
-
-    def _intern(
-        self, src: str | None, action: str, dst: str | None, label: Label | None = None
-    ) -> int:
-        key = (src, action, dst)
-        lid = self._label_id.get(key)
-        if lid is None:
-            lid = self._label_id[key] = len(self.labels)
-            self.labels.append(Label(src, action, dst) if label is None else label)
-        return lid
+            senders.append(rows)
+            receivers.append(heard)
+        for i1, i2 in permutations(range(len(components)), 2):
+            rows, heard = senders[i1], receivers[i2]
+            for action in sorted(rows.keys() & heard.keys()):
+                for n1, row in sorted(rows[action].items()):
+                    for n2 in sorted(heard[action]):
+                        row[n2] = len(self.labels)
+                        self.labels.append(Label(n1, action, n2))
 
     def initial_codes(self) -> list[int]:
         local = [
-            [names.index(state) * stride for state in sorted(a.initial)]
-            for a, names, stride in zip(self.components, self.names, self.strides)
+            [index[state] * stride for state in sorted(a.initial)]
+            for a, index, stride in zip(self.components, self.index, self.strides)
         ]
         return [sum(parts) for parts in product(*local)]
 
@@ -159,56 +173,59 @@ class _Product:
         """Every product state reachable from ``seeds``, numbered in discovery
         order; returns the indexed form and the code of each state.
 
+        ``number[code]`` is a state's number, -1 before it is met: one slot
+        per product state, less memory than a dict once a sixth are reached.
+        A state's moves are its components' solo moves plus, per ordered pair
+        of components, the syncs on actions the first sends and the second
+        receives there; its local states are decoded last component first.
+
         Moves are appended with no duplicate check, because the moves of
         one state are distinct.  Each component's transitions are a
         frozenset.  Solo labels of different components differ: every
         annotation names an instance of the component's own hierarchy, and
         the hierarchies are disjoint.  A sync label ``(n1,a,n2)`` names its
         sender's and its receiver's component, so it is no solo label and
-        fixes the pair.  For one label, distinct local transitions give
-        distinct code deltas, as codes are mixed-radix numbers.
+        fixes the pair, which is visited once, and ``a``, which is met once
+        in the pair's common actions.  For one label, distinct local
+        transitions give distinct code deltas, as codes are mixed-radix
+        numbers.
         """
-        index: dict[int, int] = {}
+        number = [-1] * self.size
         codes: list[int] = []
         for code in seeds:
-            if code not in index:
-                index[code] = len(codes)
+            if number[code] < 0:
+                number[code] = len(codes)
                 codes.append(code)
-        labels = self.labels
-        edges: list[list[int]] = [[] for _ in labels]
-        locate = list(zip(self.strides, [len(names) for names in self.names]))
-        solo, sends, receives = self.solo, self.sends, self.receives
-        pos = 0
-        while pos < len(codes):
-            code = codes[pos]
-            local = [code // stride % size for stride, size in locate]
-            moves = [move for i, s in enumerate(local) for move in solo[i][s]]
-            for i1, s1 in enumerate(local):
-                outputs = sends[i1][s1]
-                if not outputs:
-                    continue
-                for i2, s2 in enumerate(local):
-                    inputs = receives[i2][s2]
-                    if i2 == i1 or not inputs:
-                        continue
-                    for action, outs in outputs.items():
-                        for dst_name, in_delta in inputs.get(action, ()):
-                            for src_name, out_delta in outs:
-                                lid = self._intern(src_name, action, dst_name)
-                                moves.append((lid, out_delta + in_delta))
-            if len(edges) < len(labels):  # sync labels met for the first time
-                edges += ([] for _ in range(len(labels) - len(edges)))
+        edges: list[list[int]] = [[] for _ in self.labels]
+        pairs = list(permutations(range(len(self.names)), 2))
+        sizes = [len(names) for names in self.names]
+        last_first = list(zip(sizes, self.solo))[::-1]
+        sends, receives = self.sends[::-1], self.receives[::-1]
+        for pos, code in enumerate(codes):
+            moves: list[tuple[int, int]] = []
+            local = []
+            rest = code
+            for size, solo in last_first:
+                rest, s = divmod(rest, size)
+                moves += solo[s]
+                local.append(s)
+            for i1, i2 in pairs:
+                outputs, inputs = sends[i1][local[i1]], receives[i2][local[i2]]
+                if outputs and inputs:
+                    for action in outputs.keys() & inputs.keys():
+                        for n2, in_delta in inputs[action]:
+                            for row, out_delta in outputs[action]:
+                                moves.append((row[n2], out_delta + in_delta))
             for lid, delta in moves:
                 target = code + delta
-                dst = index.get(target)
-                if dst is None:
-                    dst = index[target] = len(codes)
+                dst = number[target]
+                if dst < 0:
+                    dst = number[target] = len(codes)
                     codes.append(target)
                 edge = edges[lid]
                 edge.append(pos)
                 edge.append(dst)
-            pos += 1
-        return Indexed(len(codes), labels, edges), codes
+        return Indexed(len(codes), self.labels, edges), codes
 
     def automaton(self, indexed: Indexed, tokens: list[str]) -> Automaton:
         """The explored states under their tuple tokens ``(q1,q2,...)``; raises

@@ -265,6 +265,8 @@ def run_experiment(
     strict_internal: bool = False,
 ) -> list[ExperimentRow]:
     """Run the pipeline over every pair file, in deterministic file order."""
+    if workers < 1:
+        raise CiaError("workers must be at least 1")
     corpus = Path(corpus_dir)
     paths = sorted(corpus.glob("*.cia"))
     if not paths:

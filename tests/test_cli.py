@@ -344,6 +344,17 @@ class TestPipeline:
                      "--out", str(tmp_path / "t.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_experiment_workers_below_one_is_data_error(self, tmp_path, capsys, workers):
+        corpus = tmp_path / "corpus"
+        assert main(["generate", "--pairs", "1", "--seed", "2",
+                     "--states", "3..4", "--out", str(corpus)]) == 0
+        out = tmp_path / "rows.csv"
+        assert main(["experiment", "--corpus", str(corpus), "--workers", workers,
+                     "--out", str(out)]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_experiment_without_corpus_is_data_error(self, capsys):
         assert main(["experiment"]) == 2
         assert "needs --corpus" in capsys.readouterr().err

@@ -157,6 +157,22 @@ class TestReachableComposite:
 
 
 FOLD_SHA256 = "d57ba96631d5fe0534a515434480c5d3f791e3a2c76623e26eb779deda6412f4"
+COMPOSE_SHA256 = "a45d4293788f1be47804ac449721228aa5d2458f8b9ee20869c8996bae003943"
+
+
+def test_nary_compose_pinned_output():
+    """sha256 of the serialized n-ary composites of the first 2, 3 and 4
+    generated components, seeds 1..5, open and closed io; any change of
+    output moves it."""
+    digest = hashlib.sha256()
+    for seed in range(1, 6):
+        corpus = generate_corpus(GenParams(state_count_range=(3, 6), seed=seed), 2)
+        comps = [automaton for pair in corpus for automaton in pair]
+        for k in (2, 3, 4):
+            group = comps[:k]
+            for io in (default_io_sets(group), IoSets.closed()):
+                digest.update(serialize_automaton(compose(group, io)).encode())
+    assert digest.hexdigest() == COMPOSE_SHA256
 
 
 class TestPairwiseReduce:

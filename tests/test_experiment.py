@@ -269,6 +269,12 @@ class TestRunExperiment:
         with pytest.raises(CiaError, match="no .cia files"):
             run_experiment(tmp_path)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 1), tmp_path)
+        with pytest.raises(CiaError, match="workers must be at least 1"):
+            run_experiment(tmp_path, workers=workers)
+
     def test_over_5min_consistency(self, tmp_path):
         corpus = tmp_path / "corpus"
         write_corpus(generate_corpus(GenParams(state_count_range=(3, 5), seed=5), 3), corpus)

@@ -26,7 +26,8 @@ from ciakit import (
 from ciakit.compose import reachable_product
 from ciakit.core import Indexed
 from ciakit.generate import SplitMix64
-from ciakit.refine import _silent_sccs, refine_indexed
+from ciakit.metrics import indexed_record
+from ciakit.refine import _silent_sccs, quotient_triples, refine_indexed
 from conftest import aut, handshake_pair, random_automaton
 from oracles import (
     mutual_reachability_classes,
@@ -579,6 +580,32 @@ def test_refinement_ignores_label_numbering(strict):
                 members[b].add(state)
             results.append(({frozenset(group) for group in members},
                              (stats.sweeps, stats.refine_steps, stats.splitter_evals)))
+        assert results[0] == results[1], f"form {seed}"
+
+
+# one internal, one input and one output label, none of which fires
+UNUSED = (Label("X", "pad", "Y"), Label(None, "pad", "X"), Label("X", "pad", None))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_labels_without_edges_change_nothing(strict):
+    # the product explorer numbers sync labels that may never fire: appending
+    # labels with empty edge lists must not change metrics, the partition,
+    # any counter or the quotient
+    for seed, form in enumerate(label_numbering_cases()):
+        padded = Indexed(form.n, form.labels + list(UNUSED), form.edges + [[] for _ in UNUSED])
+        results = []
+        for indexed in (form, padded):
+            stats = RefineStats()
+            block, count = refine_indexed(indexed, strict_internal=strict, stats=stats)
+            stats.elapsed_s = 0.0
+            triples = [
+                (src, lid, dst)
+                for lid, flat in enumerate(indexed.edges)
+                for src, dst in zip(flat[::2], flat[1::2])
+            ]
+            kept = quotient_triples(triples, block, indexed.internal())
+            results.append((indexed_record(indexed), block, count, stats, kept))
         assert results[0] == results[1], f"form {seed}"
 
 
