@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 
 from .core import Automaton, Hierarchy, Indexed, Label, LabelKind, Transition
 from .errors import ValidationError
-from .refine import Partition, quotient, refine_indexed
 
 __all__ = ["IoSets", "default_io_sets", "resolve_io", "compose", "compose_pairwise_reduce"]
 
@@ -278,6 +277,9 @@ def compose_pairwise_reduce(
     declare.  The last step uses ``io`` as given.  Raises RefinementTimeout
     if any reduction exceeds ``timeout``.
     """
+    # the only use of the refinement engine here: building a product does not load it
+    from .refine import Partition, quotient, refine_indexed
+
     if len(components) < 2:
         raise ValidationError("composition needs at least 2 components")
     acc = components[0]

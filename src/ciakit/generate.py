@@ -24,12 +24,13 @@ so a seed reproduces the exact same corpus on any platform or version.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import Automaton, Hierarchy, Label, Transition
 from .errors import ValidationError
@@ -158,24 +159,31 @@ def generate_primitive(
     edges: set[tuple[int, int, int]] = set()
     in_deg = [0] * n
     out_deg = [0] * n
+    # states without an outgoing edge, in index order; kept only when needed
+    childless = list(range(n)) if params.avoid_deadlocks else []
+    # attachment weight of every degree a draw can see: a state's in- plus
+    # out-degree is at most 2 * m, since a self-loop counts twice
+    power = [(d + 1.0) ** pa_exponent for d in range(2 * m + 1)]
 
     def add(src: int, lid: int, dst: int) -> bool:
         if (src, lid, dst) in edges:
             return False
         edges.add((src, lid, dst))
+        if childless and not out_deg[src]:
+            childless.remove(src)
         out_deg[src] += 1
         in_deg[dst] += 1
         return True
 
-    def weighted(degs: list[int]) -> int:
-        return rng.pick_weighted([(d + 1.0) ** pa_exponent for d in degs])
+    def weighted(degs: Iterable[int]) -> int:
+        return rng.pick_weighted(list(map(power.__getitem__, degs)))
 
     def draw_label(kind: int) -> int:
         return kind * width + rng.randint(0, width - 1)
 
     # spanning arborescence rooted at s0 guarantees reachability
     for child in range(1, n):
-        parent = weighted([in_deg[i] + out_deg[i] for i in range(child)])
+        parent = weighted(map(operator.add, in_deg[:child], out_deg[:child]))
         add(parent, draw_label(rng.pick_weighted(params.kind_mix)), child)
 
     misses = 0
@@ -188,7 +196,6 @@ def generate_primitive(
             for a, b in zip(nodes, nodes[1:]):
                 add(a, draw_label(2), b)  # kind 2: internal
             continue
-        childless = [i for i in range(n) if out_deg[i] == 0] if params.avoid_deadlocks else []
         src = rng.pick(childless) if childless else weighted(out_deg)
         dst = weighted(in_deg)
         if add(src, draw_label(rng.pick_weighted(params.kind_mix)), dst):

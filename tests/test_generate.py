@@ -172,6 +172,7 @@ class TestGeneratePrimitive:
 # fallback (every kind_mix=(1, 0, 0), beta 2 call and one clique-chain call
 # reach it) and a disjoint-alphabet corpus; any change of output moves it
 PINNED_GRID_SHA256 = "7b11e1f8308e839ec93dae13e87e8863eb0477f8de93597e215892ad28f292ba"
+PINNED_LARGE_SHA256 = "edb2f9beddd0bc7687420302ddd369285eeb84049190f91c298f7f44b0a3c356"
 
 
 class TestPinnedOutput:
@@ -204,6 +205,30 @@ class TestPinnedOutput:
             for automaton in pair:
                 digest.update(serialize_automaton(automaton).encode())
         assert digest.hexdigest() == PINNED_GRID_SHA256
+
+    def test_large_digest(self):
+        # a few 150..400-state automata with avoid_deadlocks: long childless
+        # lists and large attachment tables, which the grid above never reaches
+        grid = [
+            *(
+                GenParams(state_count_range=(150, 400), avoid_deadlocks=True, seed=s)
+                for s in range(3)
+            ),
+            *(
+                GenParams(
+                    state_count_range=(150, 400),
+                    avoid_deadlocks=True,
+                    pa_strength=2.0,
+                    clique_bias=0.6,
+                    seed=s,
+                )
+                for s in range(3, 5)
+            ),
+        ]
+        digest = hashlib.sha256()
+        for params in grid:
+            digest.update(serialize_automaton(generate_primitive(params)).encode())
+        assert digest.hexdigest() == PINNED_LARGE_SHA256
 
     def test_each_label_built_once(self, monkeypatch):
         built = []
