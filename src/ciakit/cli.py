@@ -211,46 +211,51 @@ def _cmd_dot(args) -> int:
     return 0
 
 
-def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser holding one shared option."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*flags, **kwargs)
-    return parent
+# each shared option: its flags, its settings and the subcommands that take it
+_SHARED_OPTIONS = [
+    (("--out",), dict(help="output file (default stdout)"),
+     ("parse", "compose", "refine", "metrics", "experiment", "regress", "dot")),
+    (("files",), dict(nargs="+"), ("parse", "compose", "refine", "metrics", "dot")),
+    (("--timeout",), dict(type=float, default=BUDGET_S, help="refinement budget, seconds"),
+     ("compose", "refine", "experiment")),
+    (("--format",), dict(choices=("csv", "json"), default="csv"), ("metrics", "experiment")),
+    (("--io",), dict(choices=("open", "closed"), default="open"), ("compose", "experiment")),
+    (("--provided",), dict(help="comma-separated provided actions (overrides --io)"),
+     ("compose", "experiment")),
+    (("--required",), dict(help="comma-separated required actions (overrides --io)"),
+     ("compose", "experiment")),
+    (("--strict-internal",),
+     dict(action="store_true",
+          help="match internal moves by exact label instead of silent closure"),
+     ("compose", "refine", "experiment")),
+]
 
 
 def _build_parser() -> _Parser:
-    out = _option("--out", help="output file (default stdout)")
-    timeout = _option("--timeout", type=float, default=BUDGET_S, help="refinement budget, seconds")
-    fmt = _option("--format", choices=("csv", "json"), default="csv")
-    files = _option("files", nargs="+")
-    strict = _option("--strict-internal", action="store_true",
-                     help="match internal moves by exact label instead of silent closure")
-
-    io_opts = argparse.ArgumentParser(add_help=False)
-    io_opts.add_argument("--io", choices=("open", "closed"), default="open")
-    io_opts.add_argument("--provided", help="comma-separated provided actions (overrides --io)")
-    io_opts.add_argument("--required", help="comma-separated required actions (overrides --io)")
-
     parser = _Parser(prog="ciakit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, text, func in [
+        ("parse", "validate and canonicalize documents", _cmd_parse),
+        ("compose", "product composition", _cmd_compose),
+        ("refine", "weak-bisimulation reduction", _cmd_refine),
+        ("metrics", "structural metrics per automaton", _cmd_metrics),
+        ("generate", "write a seeded corpus of pairs", _cmd_generate),
+        ("experiment", "compose/refine every corpus pair into CSV rows", _cmd_experiment),
+        ("regress", "logistic model over experiment CSV", _cmd_regress),
+        ("dot", "Graphviz DOT export", _cmd_dot),
+    ]:
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].set_defaults(func=func)
+    # shared options come first, in table order, as the help lists them
+    for flags, settings, names in _SHARED_OPTIONS:
+        for name in names:
+            commands[name].add_argument(*flags, **settings)
 
-    p = sub.add_parser("parse", parents=[out, files], help="validate and canonicalize documents")
-    p.set_defaults(func=_cmd_parse)
+    commands["compose"].add_argument("--pairwise", action="store_true",
+                                     help="fold pairwise, reducing each step")
 
-    p = sub.add_parser("compose", parents=[out, files, timeout, io_opts, strict],
-                       help="product composition")
-    p.add_argument("--pairwise", action="store_true", help="fold pairwise, reducing each step")
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("refine", parents=[out, files, timeout, strict],
-                       help="weak-bisimulation reduction")
-    p.set_defaults(func=_cmd_refine)
-
-    p = sub.add_parser("metrics", parents=[out, files, fmt],
-                       help="structural metrics per automaton")
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("generate", help="write a seeded corpus of pairs")
+    p = commands["generate"]
     p.add_argument("--out", required=True, help="corpus directory")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, help="random seed")
@@ -266,30 +271,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--avoid-deadlocks", action="store_true",
                    help="route extra edges out of terminal states first")
     # every generator default is GenParams' own
-    p.set_defaults(func=_cmd_generate, **asdict(GenParams()))
+    p.set_defaults(**asdict(GenParams()))
 
-    p = sub.add_parser("experiment", parents=[out, timeout, fmt, io_opts, strict],
-                       help="compose/refine every corpus pair into CSV rows")
+    p = commands["experiment"]
     p.add_argument("--corpus", help="directory of pair .cia files")
     p.add_argument("--report", metavar="CSV",
                    help="summarize an existing experiment CSV instead of running")
     p.add_argument("--workers", type=int, default=1, help="parallel workers")
     p.add_argument("--deterministic-timing", action="store_true",
                    help="record refinement work units instead of wall-clock ms")
-    p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("regress", parents=[out], help="logistic model over experiment CSV")
+    p = commands["regress"]
     p.add_argument("--csv", required=True)
     p.add_argument("--x", required=True, choices=("beta", "states", "gini_in", "gini_out"))
     p.add_argument("--y", required=True, choices=("success", "over5min"))
     p.add_argument("--cutoff", type=float, default=0.5)
     p.add_argument("--over-ms", type=int, default=OVER_MS,
                    help="over5min means elapsed_ms above this (default %(default)s, five minutes)")
-    p.set_defaults(func=_cmd_regress)
-
-    p = sub.add_parser("dot", parents=[out, files], help="Graphviz DOT export")
-    p.set_defaults(func=_cmd_dot)
-
     return parser
 
 

@@ -28,7 +28,7 @@ tokens ``(q1,q2,...)`` only when an ``Automaton`` is returned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
@@ -59,12 +59,13 @@ def default_io_sets(components: Iterable[Automaton]) -> IoSets:
     provided: set[str] = set()
     required: set[str] = set()
     for automaton in components:
-        for trans in automaton.transitions:
-            kind = trans.label.kind
+        # transitions share label objects: keying by identity classifies each once
+        for label in {id(t.label): t.label for t in automaton.transitions}.values():
+            kind = label.kind
             if kind is LabelKind.INPUT:
-                required.add(trans.label.action)
+                required.add(label.action)
             elif kind is LabelKind.OUTPUT:
-                provided.add(trans.label.action)
+                provided.add(label.action)
     return IoSets(frozenset(provided), frozenset(required))
 
 
@@ -274,8 +275,9 @@ def compose_pairwise_reduce(
     contract.  A step keeps open what a later component still synchronizes
     on: it composes under P plus the later components' input actions and R
     plus their output actions, without the actions only later components
-    declare.  The last step uses ``io`` as given.  Raises RefinementTimeout
-    if any reduction exceeds ``timeout``.
+    declare.  The last step uses ``io`` as given.  The result carries the
+    n-ary product's hierarchy.  Raises RefinementTimeout if any reduction
+    exceeds ``timeout``.
     """
     # the only use of the refinement engine here: building a product does not load it
     from .refine import Partition, quotient, refine_indexed
@@ -298,4 +300,5 @@ def compose_pairwise_reduce(
         tokens = list(map(prod.token, codes))
         block, _ = refine_indexed(indexed, timeout, strict_internal)
         acc = quotient(prod.automaton(indexed, tokens), Partition.grouped(tokens, block))
-    return acc
+    # a hierarchy of one level, not one nested level per step
+    return replace(acc, hierarchy=Hierarchy.node(*(a.hierarchy for a in components)))

@@ -3,8 +3,10 @@
 Each oracle deliberately takes a different route than the library code it
 checks: set-comprehension enumeration for composition, plain BFS for
 reachability, naive set fixpoints for silent closure, weak moves and
-mutually reachable states, the library's brute-force ``weak_bisim_relation``
-(not the refinement engine) on a disjoint union to compare two automata,
+mutually reachable states, per-state DFS closures and weak-move sets to
+check a partition of an indexed automaton at any size, the library's
+brute-force ``weak_bisim_relation`` (not the refinement engine) on a
+disjoint union to compare two automata,
 exact rational arithmetic for the Gini coefficient, mpmath for logs and tail
 probabilities, and grid search for the logistic MLE.
 """
@@ -133,6 +135,51 @@ def mutual_reachability_classes(succ: list[list[int]]) -> set[frozenset[int]]:
         frozenset(other for other in reach[state] if state in reach[other])
         for state in range(len(succ))
     }
+
+
+def is_weak_bisimulation(indexed, block, strict_internal: bool = False) -> bool:
+    """Whether a partition of an indexed automaton (``block[state]``, a block
+    id per state) is a weak bisimulation: all states of a block have the same
+    weak moves, as ``(label id, target block)`` pairs.
+
+    A weak move on label ``l`` is silent closure, one ``l`` edge, silent
+    closure.  In the default semantics every internal label is one silent
+    move (label ``None``) to each block of the state's own closure;
+    ``strict_internal`` treats an internal label like a visible one.  Naive
+    on purpose: one DFS closure per state, no condensation, no bitsets.
+    This checks stability, not coarseness: any finer stable partition passes.
+    """
+    n, labels, edges = indexed
+    silent: list[list[int]] = [[] for _ in range(n)]
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for lid, (label, flat) in enumerate(zip(labels, edges)):
+        internal = label.kind is LabelKind.INTERNAL
+        for src, dst in zip(flat[::2], flat[1::2]):
+            if internal:
+                silent[src].append(dst)
+            if strict_internal or not internal:
+                steps[src].append((lid, dst))
+    closure = []
+    for state in range(n):
+        seen, stack = {state}, [state]
+        while stack:
+            for nxt in silent[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        closure.append(seen)
+    closure_blocks = [frozenset(block[other] for other in seen) for seen in closure]
+    # per state, its direct steps as (label id, blocks of the target's closure)
+    direct = [{(lid, closure_blocks[dst]) for lid, dst in out} for out in steps]
+    moves_of_block: dict[int, set] = {}
+    for state in range(n):
+        reached = set().union(*(direct[mid] for mid in closure[state]))
+        moves = {(lid, b) for lid, blocks in reached for b in blocks}
+        if not strict_internal:
+            moves |= {(None, b) for b in closure_blocks[state]}
+        if moves_of_block.setdefault(block[state], moves) != moves:
+            return False
+    return True
 
 
 def weak_targets(

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -441,6 +443,29 @@ def test_strict_internal_help_is_shared(capsys):
         assert err.value.code == 0
         assert ("--strict-internal match internal moves by exact label instead of silent closure"
                 in " ".join(capsys.readouterr().out.split()))
+
+
+COMMANDS = ["parse", "compose", "refine", "metrics", "generate", "experiment", "regress", "dot"]
+# sha256 of the help, usage-error text and exit codes below at COLUMNS=80;
+# argparse words and wraps its output differently from one Python to the next
+HELP_SHA256 = {
+    (3, 11): "80fef1838cf71baf4fbcc717f326f447c78b95b944931e874b28d6ae5ac3b3db",
+}
+
+
+def test_help_and_usage_errors_pinned(monkeypatch, capsys):
+    digest = hashlib.sha256()
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in [["--help"], [], *([command, "--help"] for command in COMMANDS),
+                 *([command, "--bogus"] for command in COMMANDS)]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{argv} {err.value.code}\n{captured.out}\n{captured.err}\n".encode())
+    pinned = HELP_SHA256.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip(f"no help digest pinned for Python {sys.version_info[0]}.{sys.version_info[1]}")
+    assert digest.hexdigest() == pinned
 
 
 def test_generate_needs_out_dir(capsys):

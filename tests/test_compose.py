@@ -15,6 +15,7 @@ from ciakit import (
     compose_pairwise_reduce,
     default_io_sets,
     generate_corpus,
+    parse_automaton,
     partition_refine,
     quotient,
     reachable,
@@ -156,7 +157,7 @@ class TestReachableComposite:
         assert reachable(c).states == expected
 
 
-FOLD_SHA256 = "d57ba96631d5fe0534a515434480c5d3f791e3a2c76623e26eb779deda6412f4"
+FOLD_SHA256 = "2ed97c2b7ef59883ed950516e2c284e55326434fbe4910341a33829edbed284b"
 COMPOSE_SHA256 = "a45d4293788f1be47804ac449721228aa5d2458f8b9ee20869c8996bae003943"
 
 
@@ -214,6 +215,20 @@ class TestPairwiseReduce:
         nary = reachable(compose([a, b, c], io))
         assert {t.label for t in folded.transitions} == {Label("A", "m", "C")}
         assert weak_bisim_oracle(folded, nary, strict_internal=True)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_hierarchy_is_the_nary_products(self, k):
+        corpus = generate_corpus(GenParams(state_count_range=(3, 5), seed=k), 2)
+        comps = [automaton for pair in corpus for automaton in pair][:k]
+        io = default_io_sets(comps)
+        assert compose_pairwise_reduce(comps, io).hierarchy == compose(comps, io).hierarchy
+
+    def test_hundred_and_one_components_round_trip(self):
+        # one hierarchy level whatever the number of components, so the
+        # parser's nesting bound does not reject the fold's document
+        comps = [aut(f"C{i}", (f"C{i}",), ["s0", "s1"]) for i in range(101)]
+        folded = compose_pairwise_reduce(comps, IoSets.closed())
+        assert parse_automaton(serialize_automaton(folded)) == folded
 
     def test_needs_two_components(self):
         with pytest.raises(ValidationError, match="^composition needs at least 2 components$"):

@@ -97,6 +97,17 @@ class TestAutomaton:
         with pytest.raises(ValidationError, match="unknown component name"):
             aut(states=["s0", "s1"], trans=[("s0", (None, "m", "X"), "s1")])
 
+    def test_equal_label_objects_each_checked(self):
+        # each automaton checks its own label objects: an equal label accepted
+        # elsewhere, or the very object, is still rejected under another hierarchy
+        label = Label("Z", "m", None)
+        aut("Z", ("Z",), ["s0", "s1"], [("s0", label, "s1")])
+        message = r"^unknown component name 'Z' in label \(Z,m,-\)$"
+        for other in (Label("Z", "m", None), label):
+            trans = [("s0", Label("A", "m", None), "s1"), ("s1", other, "s0")]
+            with pytest.raises(ValidationError, match=message):
+                aut(states=["s0", "s1"], trans=trans)
+
     def test_transition_endpoints_checked(self):
         with pytest.raises(ValidationError, match="not among states"):
             aut(states=["s0"], trans=[("s0", (None, "m", "A"), "s9")])
@@ -118,10 +129,12 @@ class TestAutomaton:
             ("states", {"s0", "bad id"}, "invalid state id 'bad id'"),
             ("transitions", {("s9", Label(None, "m", "A"), "s0")},
              "transition source 's9' not among states"),
+            ("transitions", {("s0", Label(None, "m", "A"), "s9")},
+             "transition target 's9' not among states"),
             ("transitions", {("s0", "(-,m,A)", "s0")}, "transition label must be a Label"),
             ("hierarchy", None, "automaton requires a hierarchy"),
         ],
-        ids=["state-id", "source", "label-type", "no-hierarchy"],
+        ids=["state-id", "source", "target", "label-type", "no-hierarchy"],
     )
     def test_invalid_field_rejected(self, field, value, message):
         fields = dict(name="A", states={"s0"}, actions={"m"}, transitions=(),

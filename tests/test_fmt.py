@@ -180,6 +180,15 @@ def test_repeated_label_token_is_one_object():
     assert first.label is second.label
 
 
+def test_redeclared_hierarchy_keeps_earlier_label_actions():
+    doc = MINIMAL.replace("hierarchy (A)", "hierarchy (A B)").replace(
+        "end", "hierarchy (A)\ntrans s1 (-,n,A) s0\nend"
+    )
+    a = parse_automaton(doc)
+    assert a.actions == {"m", "n"}
+    assert {t.label.render() for t in a.transitions} == {"(-,m,A)", "(-,n,A)"}
+
+
 def test_actions_line_extends_alphabet():
     doc = MINIMAL.replace("initial s0", "initial s0\nactions n m")
     a = parse_automaton(doc)

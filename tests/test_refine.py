@@ -30,6 +30,7 @@ from ciakit.metrics import indexed_record
 from ciakit.refine import _silent_sccs, quotient_triples, refine_indexed
 from conftest import aut, handshake_pair, random_automaton
 from oracles import (
+    is_weak_bisimulation,
     mutual_reachability_classes,
     refine_step,
     silent_closure,
@@ -626,3 +627,49 @@ class TestFullPipelineOnHandshake:
             q = quotient(a, partition_refine(a))
             for t in q.transitions:
                 assert not (t.label.kind is LabelKind.INTERNAL and t.source == t.target)
+
+
+def _merge_two(block: list[int], count: int, data) -> list[int]:
+    """``block`` with two of its ``count`` blocks, drawn by hypothesis, made one."""
+    keep = data.draw(st.integers(0, count - 1))
+    gone = data.draw(st.integers(0, count - 2))
+    gone += gone >= keep
+    return [keep if b == gone else b for b in block]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+def test_referee_accepts_the_oracle_classes_and_no_merge(strict):
+    # the referee against the brute-force greatest weak bisimulation
+    for seed in range(30):
+        a = random_automaton(seed * 7 + 3, max_states=10)
+        indexed, states = Indexed.of(a)
+        classes = sorted(oracle_classes(a, strict_internal=strict), key=sorted)
+        number = {state: i for i, members in enumerate(classes) for state in members}
+        block = [number[state] for state in states]
+        assert is_weak_bisimulation(indexed, block, strict), f"seed {seed}"
+        for gone in range(1, len(classes)):
+            merged = [0 if b == gone else b for b in block]
+            assert not is_weak_bisimulation(indexed, merged, strict), f"seed {seed}"
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), closed=st.booleans(), data=st.data())
+def test_referee_on_composites_past_the_oracle_bound(strict, seed, closed, data):
+    """Generated pairs of 5..17 states a side: composites of up to 289 states."""
+    pair = generate_corpus(GenParams(state_count_range=(5, 17), seed=seed), 1)[0]
+    io = IoSets.closed() if closed else default_io_sets(pair)
+    composite = reachable_product(pair, io)
+    block, count = refine_indexed(composite, strict_internal=strict)
+    assert is_weak_bisimulation(composite, block, strict)
+    if count > 1:
+        assert not is_weak_bisimulation(composite, _merge_two(block, count, data), strict)
+    if strict:
+        return  # strict quotients drop internal self-loops they may need
+    # the quotient, beside the composite, each state in its quotient state's block
+    n, labels, edges = composite
+    triples = [(s, lid, d) for lid, flat in enumerate(edges) for s, d in zip(flat[::2], flat[1::2])]
+    union = [list(flat) for flat in edges]
+    for src, lid, dst in quotient_triples(triples, block, composite.internal()):
+        union[lid] += (n + src, n + dst)
+    assert is_weak_bisimulation(Indexed(n + count, labels, union), block + list(range(count)))
