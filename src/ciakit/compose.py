@@ -28,7 +28,7 @@ tokens ``(q1,q2,...)`` only when an ``Automaton`` is returned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
@@ -59,13 +59,12 @@ def default_io_sets(components: Iterable[Automaton]) -> IoSets:
     provided: set[str] = set()
     required: set[str] = set()
     for automaton in components:
-        # transitions share label objects: keying by identity classifies each once
-        for label in {id(t.label): t.label for t in automaton.transitions}.values():
-            kind = label.kind
+        for trans in automaton.transitions:
+            kind = trans.label.kind
             if kind is LabelKind.INPUT:
-                required.add(label.action)
+                required.add(trans.label.action)
             elif kind is LabelKind.OUTPUT:
-                provided.add(label.action)
+                provided.add(trans.label.action)
     return IoSets(frozenset(provided), frozenset(required))
 
 
@@ -296,9 +295,9 @@ def compose_pairwise_reduce(
             (io.required | later_io.provided) - pending,
         )
         prod = _Product([acc, nxt], step)
+        prod.hierarchy = Hierarchy.node(*(a.hierarchy for a in components[: i + 1]))
         indexed, codes = prod.explore(prod.initial_codes())
         tokens = list(map(prod.token, codes))
         block, _ = refine_indexed(indexed, timeout, strict_internal)
         acc = quotient(prod.automaton(indexed, tokens), Partition.grouped(tokens, block))
-    # a hierarchy of one level, not one nested level per step
-    return replace(acc, hierarchy=Hierarchy.node(*(a.hierarchy for a in components)))
+    return acc

@@ -211,20 +211,21 @@ class Automaton:
                 raise ValidationError(f"initial state {state!r} not among states")
         for action in self.actions:
             _check_word(action, "action")
-        for end, states in (("source", {t.source for t in self.transitions}),
-                            ("target", {t.target for t in self.transitions})):
-            for state in states - self.states:
-                raise ValidationError(f"transition {end} {state!r} not among states")
         components = self.hierarchy.leaf_names()
-        # transitions share label objects: keying by identity checks each once
-        for label in {id(t.label): t.label for t in self.transitions}.values():
-            if not isinstance(label, Label):
+        for trans in self.transitions:
+            if trans.source not in self.states:
+                raise ValidationError(f"transition source {trans.source!r} not among states")
+            if trans.target not in self.states:
+                raise ValidationError(f"transition target {trans.target!r} not among states")
+            if not isinstance(trans.label, Label):
                 raise ValidationError("transition label must be a Label")
-            if label.action not in self.actions:
-                raise ValidationError(f"action {label.action!r} not declared")
-            for annotation in (label.src, label.dst):
+            if trans.label.action not in self.actions:
+                raise ValidationError(f"action {trans.label.action!r} not declared")
+            for annotation in (trans.label.src, trans.label.dst):
                 if annotation is not None and annotation not in components:
-                    raise ValidationError(f"unknown component name {annotation!r} in label {label}")
+                    raise ValidationError(
+                        f"unknown component name {annotation!r} in label {trans.label}"
+                    )
 
     @classmethod
     def make(

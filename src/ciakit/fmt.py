@@ -86,9 +86,7 @@ class _Block:
         self.hierarchy: Hierarchy | None = None
         self.states: set[str] = set()
         self.initial: list[str] = []
-        # declared actions and those of every label made, also under an
-        # earlier hierarchy line, which clears ``labels``
-        self.actions: set[str] = set()
+        self.actions: list[str] = []
         self.labels: dict[str, Label] = {}  # tokens checked against ``hierarchy``
         self.transitions: list[Transition] = []
 
@@ -145,7 +143,7 @@ def parse_automata(text: str) -> list[Automaton]:
         elif keyword == "initial":
             block.initial.extend(args)
         elif keyword == "actions":
-            block.actions.update(args)
+            block.actions.extend(args)
         elif keyword == "trans":
             if len(args) != 3:
                 raise FormatError("expected: trans <id> (<src>,<action>,<dst>) <id>", lineno)
@@ -155,19 +153,25 @@ def parse_automata(text: str) -> list[Automaton]:
                     raise FormatError(f"undeclared state {endpoint!r} in transition", lineno)
             if block.hierarchy is None:
                 raise FormatError("hierarchy must be declared before transitions", lineno)
-            label = block.labels.get(token)
-            if label is None:
-                label = block.labels[token] = _parse_label(
+            if token not in block.labels:
+                block.labels[token] = _parse_label(
                     token, lineno, body.find(token) + 1, block.hierarchy.leaf_names()
                 )
-                block.actions.add(label.action)
-            block.transitions.append(Transition(source, label, target))
+            block.transitions.append(Transition(source, block.labels[token], target))
         elif keyword == "end":
             if block.hierarchy is None:
                 raise FormatError(f"automaton {block.name!r} has no hierarchy", lineno)
             try:
-                automata.append(Automaton(block.name, block.states, block.actions,
-                                          block.transitions, block.initial, block.hierarchy))
+                automata.append(
+                    Automaton.make(
+                        name=block.name,
+                        states=block.states,
+                        transitions=block.transitions,
+                        initial=block.initial,
+                        hierarchy=block.hierarchy,
+                        actions=block.actions,
+                    )
+                )
             except ValidationError as exc:
                 raise FormatError(str(exc), lineno) from exc
             block = None
