@@ -27,6 +27,7 @@ tokens ``(q1,q2,...)`` only when an ``Automaton`` is returned.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -110,6 +111,8 @@ class _Product:
         for i in range(len(components) - 2, -1, -1):
             self.strides[i] = self.strides[i + 1] * len(self.names[i + 1])
         self.size = self.strides[0] * len(self.names[0])
+        if self.size > sys.maxsize:  # explore numbers them in one list
+            raise ValidationError(f"the product has {self.size} states, too many to number")
         self.labels: list[Label] = []
         label_id: dict[tuple, int] = {}
         # per component and local state: solo moves as (label id, code delta),

@@ -42,6 +42,11 @@ an ``Automaton`` (index the sorted states, group them by block id):
    line up), dropping each node its round leaves alone.  Interning rows (a
    live node keeps a fixed profile of row ids) lets a round build one
    reached-block set per distinct row value, not one per node and label.
+   Round 1 and every later round split through one step: it keys the nodes
+   it is given, gives each the fresh id ``count + j`` (``j`` its key's
+   first-seen index) and reports which still share a block.  A later round
+   whose keys form exactly the live blocks splits nothing and ends the
+   loop; the ids are compacted to ``0 .. count-1`` once, at the end.
 
 ``weak_bisim_relation`` is a brute-force greatest-fixpoint weak-bisimulation
 oracle on one small automaton, kept independent of the engine to cross-check
@@ -244,14 +249,6 @@ def refine_indexed(
             stats.elapsed_s = elapsed
             raise RefinementTimeout(elapsed, timeout)
 
-    def done(block: list[int]) -> tuple[list[int], int]:
-        # number the block ids 0 .. count-1 in first-seen order
-        number: dict[int, int] = {}
-        block = [number.setdefault(b, len(number)) for b in block]
-        stats.blocks += len(number)
-        stats.elapsed_s = time.perf_counter() - started
-        return [block[c] for c in comp], len(number)
-
     n, _, edges = indexed
     internal = indexed.internal()
     silent: list[list[int]] = [[] for _ in range(n)]
@@ -259,11 +256,6 @@ def refine_indexed(
         if is_internal:
             for src, dst in zip(flat[::2], flat[1::2]):
                 silent[src].append(dst)
-    # labels with a saturated row of their own; in the default semantics
-    # every internal label shares the closure row
-    row_labels = [
-        lid for lid, flat in enumerate(edges) if flat and (strict_internal or not internal[lid])
-    ]
 
     comp, k, largest = _silent_sccs(silent)
     dag: list[set[int]] = [set() for _ in range(k)]
@@ -277,92 +269,98 @@ def refine_indexed(
     stats.largest_scc = max(stats.largest_scc, largest)
     check_budget()
 
+    block = [0] * k
+    count = 0
+
+    def split(nodes: Iterable[int], keys: Iterable) -> tuple[list[bool], list[int]]:
+        """Give each node the fresh id ``count + j``, ``j`` its key's first-seen
+        index; return per node whether it still shares a block, and the part sizes."""
+        nonlocal count
+        ids: dict = {}
+        parts = [ids.setdefault(key, len(ids)) for key in keys]
+        stats.sweeps += 1
+        stats.splitter_evals += len(parts)
+        for c, j in zip(nodes, parts):
+            block[c] = count + j
+        count += len(ids)
+        size = [0] * len(ids)
+        for j in parts:
+            size[j] += 1
+        return [size[j] > 1 for j in parts], size
+
     # Round 1 splits by the set of enabled labels (non-empty saturated rows),
     # as a dense signature with an empty reached set per disabled label would.
     # A row is non-empty iff some node of the silent closure has an edge of
-    # its label, so one propagation of each node's own label mask finds them.
-    stats.sweeps += 1
-    stats.splitter_evals += k
+    # its label, so one propagation of each node's own label mask (bit ``lid``
+    # for label ``lid``) finds them.  In the default semantics every internal
+    # label shares the closure row, which is never empty, so it sets no bit.
     enabled = [0] * k
-    for position, lid in enumerate(row_labels):
-        bit = 1 << position
-        for src in edges[lid][::2]:
-            enabled[comp[src]] |= bit
+    for lid, flat in enumerate(edges):
+        if strict_internal or not internal[lid]:
+            bit = 1 << lid
+            for src in flat[::2]:
+                enabled[comp[src]] |= bit
     _propagate(enabled, inner)
-    label_sets: dict[int, int] = {}
-    block = [label_sets.setdefault(mask, len(label_sets)) for mask in enabled]
-    count = len(label_sets)
+    shared, size = split(range(k), enabled)
     # A block only ever splits, so a node alone in its block is settled: from
     # here on only the live nodes, those sharing a block, get rows and signatures.
-    size = [0] * count
-    for b in block:
-        size[b] += 1
-    live = [c for c, b in enumerate(block) if size[b] > 1]
+    live = list(compress(range(k), shared))
     stats.shared += len(live)
-    if not live:
-        return done(block)
 
-    # Saturate the labels live nodes enable.  Propagation still covers every
-    # node: a live node's row can run through a settled node's edges.
-    wanted = 0
-    for mask, b in label_sets.items():
-        if size[b] > 1:
-            wanted |= mask
-    closure = _propagate([1 << c for c in range(k)], inner)
-    row_id: dict[int, int] = {}
-    # profile[i]: row ids of live[i]'s non-empty saturated rows, in one fixed
-    # label order; nodes of one block enable the same labels, so their
-    # profiles line up.  Lists, not tuples: freed tuples linger on per-size
-    # free lists and raise peak memory.
-    if strict_internal:
-        profile: list[list[int]] = [[] for _ in live]
-    else:  # the closure row is never empty, so it does not split the label set
-        profile = [[row_id.setdefault(closure[c], len(row_id))] for c in live]
-    for position in _bits(wanted):
-        step = [0] * k
-        flat = edges[row_labels[position]]
-        for src, dst in zip(flat[::2], flat[1::2]):
-            step[comp[src]] |= closure[comp[dst]]
-        _propagate(step, inner)
-        rows = list(map(step.__getitem__, live))
-        for i in compress(range(len(live)), rows):
-            profile[i].append(row_id.setdefault(rows[i], len(row_id)))
-        check_budget()
-    stats.refine_steps += wanted.bit_count() + (not strict_internal)
-    targets = [_bits(row) for row in row_id]
-    del closure, row_id
+    if live:
+        # Saturate the labels live nodes enable.  Propagation still covers
+        # every node: a live node's row can run through a settled node's edges.
+        wanted = 0
+        for c in live:
+            wanted |= enabled[c]
+        closure = _propagate([1 << c for c in range(k)], inner)
+        row_id: dict[int, int] = {}
+        # profile[i]: row ids of live[i]'s non-empty saturated rows, in one
+        # fixed label order; nodes of one block enable the same labels, so
+        # their profiles line up.  Lists, not tuples: freed tuples linger on
+        # per-size free lists and raise peak memory.
+        if strict_internal:
+            profile: list[list[int]] = [[] for _ in live]
+        else:  # the closure row is never empty, so it does not split the label set
+            profile = [[row_id.setdefault(closure[c], len(row_id))] for c in live]
+        for lid in _bits(wanted):
+            step = [0] * k
+            flat = edges[lid]
+            for src, dst in zip(flat[::2], flat[1::2]):
+                step[comp[src]] |= closure[comp[dst]]
+            _propagate(step, inner)
+            rows = list(map(step.__getitem__, live))
+            for i in compress(range(len(live)), rows):
+                profile[i].append(row_id.setdefault(rows[i], len(row_id)))
+            check_budget()
+        stats.refine_steps += wanted.bit_count() + (not strict_internal)
+        targets = [_bits(row) for row in row_id]
+        del closure, row_id
 
     # Later rounds key live nodes by block and the blocks their rows reach;
-    # settled nodes keep their ids, which the reached sets still use.
-    live_blocks = count - (k - len(live))
+    # settled nodes keep their ids, which the reached sets still use.  A round
+    # splits nothing when its keys form exactly the live nodes' blocks.
     while live:
+        live_blocks = sum(s > 1 for s in size)
         check_budget()
-        stats.sweeps += 1
-        stats.splitter_evals += len(live)
         reached = {
             r: frozenset(map(block.__getitem__, targets[r]))
             for r in set(chain.from_iterable(profile))
         }
-        ids: dict[tuple, int] = {}
-        keys = [
-            ids.setdefault((block[c], tuple(map(reached.__getitem__, p))), len(ids))
-            for c, p in zip(live, profile)
-        ]
-        if len(ids) == live_blocks:
+        shared, size = split(
+            live, [(block[c], tuple(map(reached.__getitem__, p))) for c, p in zip(live, profile)]
+        )
+        if len(size) == live_blocks:
             break
-        # part j takes the fresh id count + j, above every id in use; settled
-        # nodes keep theirs, and done() compacts the ids once
-        for c, j in zip(live, keys):
-            block[c] = count + j
-        count += len(ids)
-        size = [0] * len(ids)
-        for j in keys:
-            size[j] += 1
-        shared = [size[j] > 1 for j in keys]
         live = list(compress(live, shared))
         profile = list(compress(profile, shared))
-        live_blocks = sum(s > 1 for s in size)
-    return done(block)
+
+    # compact the block ids to 0, 1, ... in first-seen order
+    number: dict[int, int] = {}
+    compact = [number.setdefault(b, len(number)) for b in block]
+    stats.blocks += len(number)
+    stats.elapsed_s = time.perf_counter() - started
+    return [compact[c] for c in comp], len(number)
 
 
 def partition_refine(

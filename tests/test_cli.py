@@ -164,6 +164,17 @@ class TestComposeRefine:
         assert captured.out == ""
         assert "'(a,b,c)' names two product states" in captured.err
 
+    def test_compose_rejects_a_product_too_large_to_number(self, tmp_path, capsys):
+        # 70 two-state components: 2^70 product states, more than a list holds
+        comps = [aut(f"C{i}", (f"C{i}",), ["s0", "s1"]) for i in range(70)]
+        path = tmp_path / "seventy.cia"
+        path.write_text("".join(map(serialize_automaton, comps)), encoding="utf-8")
+        assert main(["compose", str(path), "--io", "closed"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ciakit: the product has {2**70} states, too many to number\n"
+        assert main(["compose", str(path), "--io", "closed", "--pairwise"]) == 0
+
     def test_refine(self, tmp_path, capsys):
         chain = aut(
             states=["s0", "s1", "s2"],
@@ -449,7 +460,10 @@ COMMANDS = ["parse", "compose", "refine", "metrics", "generate", "experiment", "
 # sha256 of the help, usage-error text and exit codes below at COLUMNS=80;
 # argparse words and wraps its output differently from one Python to the next
 HELP_SHA256 = {
+    (3, 10): "80fef1838cf71baf4fbcc717f326f447c78b95b944931e874b28d6ae5ac3b3db",
     (3, 11): "80fef1838cf71baf4fbcc717f326f447c78b95b944931e874b28d6ae5ac3b3db",
+    (3, 12): "80fef1838cf71baf4fbcc717f326f447c78b95b944931e874b28d6ae5ac3b3db",
+    (3, 13): "0672ddc5430bf1eef2ab703de04810d53f42692fa6571696372be42d4be8fd58",
 }
 
 

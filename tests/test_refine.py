@@ -459,6 +459,24 @@ def test_round_one_singletons_saturate_no_row(strict):
     assert (stats.sccs, stats.largest_scc, stats.shared) == (3, 1, 0)
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_ids_are_compact(strict, seed):
+    form = Indexed.of(random_automaton(seed))[0]
+    # a self-loop of its own on every state gives every silent SCC its own
+    # enabled labels, so round 1 settles every node
+    own = [Label(None, f"own{q}", "A") for q in range(form.n)]
+    settled = Indexed(form.n, form.labels + own, form.edges + [[q, q] for q in range(form.n)])
+    for indexed in (form, settled):
+        stats = RefineStats()
+        block, count = refine_indexed(indexed, strict_internal=strict, stats=stats)
+        assert len(block) == indexed.n
+        assert sorted(set(block)) == list(range(count))
+        assert count == stats.blocks
+    assert stats.shared == 0
+
+
 def test_zero_budget_raises_when_round_one_ends_refinement():
     with pytest.raises(RefinementTimeout):
         partition_refine(visible_chain(), timeout=0.0)
