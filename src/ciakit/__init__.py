@@ -4,32 +4,19 @@ Modeling, composition, weak-bisimulation state-space reduction, structural
 metrics, synthetic corpus generation, and logistic-regression analysis of
 refinement outcomes.
 
-A public name loads its module on first use (PEP 562), so a script that only
-generates a corpus does not load the refinement engine, the experiment
-pipeline or the fitter.  ``compose`` is bound at import: the function shares
-its module's name, and binding it first keeps a later ``import
-ciakit.compose`` from leaving the module in its place.  The ``core`` and
-``errors`` names are bound with it, since ``compose`` loads both modules.
+A public name loads its module on first use (PEP 562), so ``import ciakit``
+loads no submodule and a script that only generates a corpus does not load
+the refinement engine, the experiment pipeline or the fitter.  The product
+module is ``ciakit.product``; ``ciakit.compose`` is its function.
 """
 
 from importlib import import_module
-
-from .compose import compose
-from .core import Automaton, Hierarchy, Label, LabelKind, Transition, reachable
-from .errors import (
-    CiaError,
-    FormatError,
-    OracleLimitError,
-    RefinementTimeout,
-    SeparationError,
-    ValidationError,
-)
 
 # public name -> the module that defines it
 _EXPORTS = {
     name: module
     for module, names in {
-        "compose": ("IoSets", "compose", "compose_pairwise_reduce", "default_io_sets"),
+        "product": ("IoSets", "compose", "compose_pairwise_reduce", "default_io_sets"),
         "core": ("Automaton", "Hierarchy", "Label", "LabelKind", "Transition", "reachable"),
         "dot": ("export_dot",),
         "errors": (

@@ -18,7 +18,6 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .compose import IoSets, compose, compose_pairwise_reduce, resolve_io
 from .core import Automaton
 from .dot import export_dot
 from .errors import CiaError
@@ -34,6 +33,7 @@ from .experiment import (
 from .fmt import parse_automata, serialize_automaton
 from .generate import GenParams, generate_corpus, write_corpus
 from .metrics import metrics_record
+from .product import IoSets, compose, compose_pairwise_reduce, resolve_io
 from .refine import partition_refine, quotient
 from .regress import classify, fit_logistic, threshold_x
 

@@ -43,11 +43,11 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, get_args, get_type_hints
 
-from .compose import IoSets, reachable_product, resolve_io
 from .core import Automaton
 from .errors import CiaError, RefinementTimeout
 from .fmt import parse_automata
 from .metrics import MetricsRecord, indexed_record
+from .product import IoSets, reachable_product, resolve_io
 from .refine import RefineStats, quotient_triples, refine_indexed
 
 __all__ = [

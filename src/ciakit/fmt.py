@@ -91,19 +91,16 @@ class _Block:
         self.transitions: list[Transition] = []
 
 
-def _parse_label(token: str, line: int, column: int, components: frozenset[str]) -> Label:
+def _parse_label(token: str, components: frozenset[str]) -> Label:
     """Check a ``(src,action,dst)`` token's shape, words and component names."""
     parts = token[1:-1].split(",") if token[:1] == "(" and token[-1:] == ")" else ()
     if len(parts) != 3:
-        raise FormatError(f"malformed label {token!r}", line, column)
+        raise FormatError(f"malformed label {token!r}")
     src, action, dst = parts
-    try:
-        label = Label(None if src == "-" else src, action, None if dst == "-" else dst)
-    except ValidationError as exc:
-        raise FormatError(str(exc), line, column) from exc
+    label = Label(None if src == "-" else src, action, None if dst == "-" else dst)
     for name in (label.src, label.dst):
         if name is not None and name not in components:
-            raise FormatError(f"unknown component name {name!r} in label {label}", line, column)
+            raise FormatError(f"unknown component name {name!r} in label {label}")
     return label
 
 
@@ -154,9 +151,12 @@ def parse_automata(text: str) -> list[Automaton]:
             if block.hierarchy is None:
                 raise FormatError("hierarchy must be declared before transitions", lineno)
             if token not in block.labels:
-                block.labels[token] = _parse_label(
-                    token, lineno, body.find(token) + 1, block.hierarchy.leaf_names()
-                )
+                try:
+                    block.labels[token] = _parse_label(token, block.hierarchy.leaf_names())
+                except (FormatError, ValidationError) as exc:
+                    # the label is the third word; the source state may contain its text
+                    column = [word.start() for word in re.finditer(r"\S+", body)][2] + 1
+                    raise FormatError(str(exc), lineno, column) from exc
             block.transitions.append(Transition(source, block.labels[token], target))
         elif keyword == "end":
             if block.hierarchy is None:

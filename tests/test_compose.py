@@ -21,7 +21,7 @@ from ciakit import (
     reachable,
     serialize_automaton,
 )
-from ciakit.compose import resolve_io
+from ciakit.product import resolve_io
 from conftest import aut, colliding_pair, handshake_pair
 from oracles import bfs_reachable_oracle, compose_oracle, weak_bisim_oracle
 

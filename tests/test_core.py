@@ -215,7 +215,7 @@ def test_reachable_properties(a):
 NUMBERING_SCRIPT = """
 import hashlib
 from ciakit import GenParams, generate_corpus
-from ciakit.compose import default_io_sets, reachable_product
+from ciakit.product import default_io_sets, reachable_product
 from ciakit.refine import refine_indexed
 out = []
 for a, b in generate_corpus(GenParams(state_count_range=(4, 7), seed=3), 3):

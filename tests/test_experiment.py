@@ -22,7 +22,6 @@ from ciakit import (
     serialize_automaton,
     write_corpus,
 )
-from ciakit.compose import resolve_io
 from ciakit.experiment import (
     CSV_COLUMNS,
     ExperimentRow,
@@ -30,6 +29,7 @@ from ciakit.experiment import (
     rows_from_csv,
     rows_to_csv,
 )
+from ciakit.product import resolve_io
 from conftest import handshake_pair, nested_document, python_output
 
 # small seeded pairs with internal labels and synchronization cliques

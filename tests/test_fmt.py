@@ -142,6 +142,13 @@ STRUCTURE_ERRORS = [
         7,
         len("trans s1 ") + 1,
     ),
+    (
+        "automaton M\nhierarchy (A)\nstates (A,m,Z) s1\ninitial s1\n"
+        "trans (A,m,Z) (A,m,Z) s1\nend\n",
+        "unknown component name 'Z' in label (A,m,Z)",
+        5,
+        len("trans (A,m,Z) ") + 1,
+    ),
 ]
 
 
@@ -151,7 +158,7 @@ STRUCTURE_ERRORS = [
     ids=[
         "automaton-arity", "automaton-unclosed", "before-automaton", "hierarchy-empty",
         "trans-arity", "trans-before-hierarchy", "end-without-hierarchy", "unknown-keyword",
-        "redeclared-hierarchy",
+        "redeclared-hierarchy", "label-text-in-source-state",
     ],
 )
 def test_structure_errors_located(doc, message, line, column):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciakit import Automaton, Hierarchy, IoSets, Label, compose, default_io_sets, reachable
-from ciakit.compose import _Product, reachable_product
 from ciakit.metrics import indexed_record, metrics_record
+from ciakit.product import _Product, reachable_product
 from oracles import compose_oracle
 
 ACTIONS = ("a", "b")

@@ -23,10 +23,10 @@ from ciakit import (
     serialize_automaton,
     weak_bisim_relation,
 )
-from ciakit.compose import reachable_product
 from ciakit.core import Indexed
 from ciakit.generate import SplitMix64
 from ciakit.metrics import indexed_record
+from ciakit.product import reachable_product
 from ciakit.refine import _silent_sccs, quotient_triples, refine_indexed
 from conftest import aut, handshake_pair, random_automaton
 from oracles import (
