@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .core import Automaton
@@ -84,12 +84,6 @@ def _warn_closed_default(args) -> None:
 _METRICS_COLUMNS = ["name", "states", "transitions", "internal", "beta", "gini_in", "gini_out"]
 
 
-def _metrics_row(automaton: Automaton) -> list:
-    rec = metrics_record(automaton)
-    return [automaton.name, rec.states, rec.transitions, rec.internal_transitions,
-            rec.beta, rec.gini_in, rec.gini_out]
-
-
 def _parse_states_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     return (int(lo), int(hi or lo))
@@ -134,7 +128,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    rows = [_metrics_row(a) for a in _read_automata(args.files)]
+    rows = [[a.name, *astuple(metrics_record(a))] for a in _read_automata(args.files)]
     if args.format == "json":
         records = [dict(zip(_METRICS_COLUMNS, row)) for row in rows]
         _emit(json.dumps(records, indent=2) + "\n", args.out)

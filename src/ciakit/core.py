@@ -24,15 +24,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
 
-__all__ = [
-    "LabelKind",
-    "Label",
-    "Transition",
-    "Hierarchy",
-    "Automaton",
-    "reachable",
-]
-
 # Component instances and actions are bare word tokens; this keeps labels
 # unambiguous inside the `(src,action,dst)` syntax.
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+\Z")

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from .core import Automaton, LabelKind
 
-__all__ = ["export_dot"]
-
 
 def _quote(token: str) -> str:
     return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'

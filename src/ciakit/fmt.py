@@ -27,13 +27,6 @@ import re
 from .core import Automaton, Hierarchy, Label, Transition
 from .errors import FormatError, ValidationError
 
-__all__ = [
-    "parse_automaton",
-    "parse_automata",
-    "parse_hierarchy",
-    "serialize_automaton",
-]
-
 _HIER_TOKEN_RE = re.compile(r"\(|\)|[A-Za-z0-9_]+")
 
 # far below the depth at which recursive parsing, rendering or comparing overflows

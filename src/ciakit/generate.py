@@ -36,8 +36,6 @@ from .core import Automaton, Hierarchy, Label, Transition
 from .errors import ValidationError
 from .fmt import serialize_automaton
 
-__all__ = ["SplitMix64", "GenParams", "generate_primitive", "generate_corpus", "write_corpus"]
-
 _MASK64 = (1 << 64) - 1
 
 

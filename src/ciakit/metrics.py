@@ -21,8 +21,6 @@ from typing import Sequence
 
 from .core import Automaton, Indexed
 
-__all__ = ["MetricsRecord", "gini", "metrics_record"]
-
 
 def gini(values: Sequence[float]) -> float | None:
     """Gini coefficient of a non-negative population, None when the sum is 0.

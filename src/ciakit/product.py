@@ -36,8 +36,6 @@ from typing import Iterable, Sequence
 from .core import Automaton, Hierarchy, Indexed, Label, LabelKind, Transition
 from .errors import ValidationError
 
-__all__ = ["IoSets", "default_io_sets", "resolve_io", "compose", "compose_pairwise_reduce"]
-
 
 @dataclass(frozen=True)
 class IoSets:

@@ -64,14 +64,6 @@ from typing import Iterable
 from .core import Automaton, Indexed, Label, LabelKind
 from .errors import OracleLimitError, RefinementTimeout, ValidationError
 
-__all__ = [
-    "Partition",
-    "RefineStats",
-    "partition_refine",
-    "quotient",
-    "weak_bisim_relation",
-]
-
 
 def _block_key(block: frozenset[str]) -> tuple[int, tuple[str, ...]]:
     return (len(block), tuple(sorted(block)))

@@ -20,14 +20,6 @@ from typing import Sequence
 
 from .errors import SeparationError
 
-__all__ = [
-    "LogisticFit",
-    "ClassificationReport",
-    "fit_logistic",
-    "classify",
-    "threshold_x",
-]
-
 # Standardized slopes beyond this are MLE divergence, not signal.
 _SEPARATION_BOUND = 50.0
 # Newton-Raphson converges when the log-likelihood moves less than _TOL.

@@ -30,7 +30,7 @@ from ciakit.experiment import (
     rows_to_csv,
 )
 from ciakit.product import resolve_io
-from conftest import handshake_pair, nested_document, python_output
+from conftest import aut, handshake_pair, nested_document, python_output
 
 # small seeded pairs with internal labels and synchronization cliques
 MANUAL_PAIRS = generate_corpus(
@@ -117,6 +117,18 @@ class TestRunPair:
         assert row.status == "timeout"
         assert row.refined_states == row.states
         assert row.reduction_ratio == 0.0
+
+    def test_over_5min_is_wall_clock_under_deterministic_timing(self):
+        # a visible chain refines one state per round, so 1,000 states count
+        # more work units than OVER_MS's 300,000 in about a second
+        n = 1000
+        chain = aut("A", ("A",), [f"s{i}" for i in range(n)],
+                    [(f"s{i}", ("A", f"a{i % 2}", None), f"s{i + 1}") for i in range(n - 1)],
+                    ["s0"])
+        idle = aut("B", ("B",), ["b0"], [], ["b0"], actions=["a0", "a1"])
+        row = run_pair("chain", chain, idle, deterministic_timing=True)
+        assert row.elapsed_ms > 300_000
+        assert row.over_5min == 0
 
 
 class TestRunExperiment:

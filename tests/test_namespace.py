@@ -61,6 +61,15 @@ print(json.dumps([sorted(ciakit.__all__), wrong, sorted(set(ciakit.__all__) - se
     assert json.loads(python_output(probe)) == [NAMES, [], []]
 
 
+def test_the_package_table_is_the_only_list_of_public_names():
+    probe = (
+        "import ciakit, importlib, pkgutil\n"
+        "print([m.name for m in pkgutil.iter_modules(ciakit.__path__)\n"
+        "       if hasattr(importlib.import_module('ciakit.' + m.name), '__all__')])"
+    )
+    assert python_output(probe).strip() == "[]"
+
+
 def test_star_import_binds_every_public_name():
     probe = (
         "namespace = {}\n"
