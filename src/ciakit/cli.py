@@ -281,7 +281,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--y", required=True, choices=("success", "over5min"))
     p.add_argument("--cutoff", type=float, default=0.5)
     p.add_argument("--over-ms", type=int, default=OVER_MS,
-                   help="over5min means elapsed_ms above this (default %(default)s, five minutes)")
+                   help="over5min means elapsed_ms above this, in the CSV's unit: ms, or "
+                        "work units for a --deterministic-timing CSV (default %(default)s, "
+                        "five minutes in ms)")
     return parser
 
 

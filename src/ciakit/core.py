@@ -248,12 +248,15 @@ class Indexed(NamedTuple):
     ...]``; ``zip(flat[::2], flat[1::2])`` reads its pairs.  No transition
     occurs twice.  Composition, metrics and refinement work on this form;
     state names are made or read only where an ``Automaton`` is built or
-    taken apart.
+    taken apart.  ``degrees`` is ``(out, in)``, each state's out- and
+    in-degree, when whoever built the form knew them without counting edges
+    (a whole product, summed per digit); ``None`` means count them.
     """
 
     n: int
     labels: list[Label]
     edges: list[list[int]]
+    degrees: tuple[list[int], list[int]] | None = None
 
     @classmethod
     def of(cls, automaton: Automaton) -> tuple["Indexed", list[str]]:

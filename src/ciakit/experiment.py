@@ -4,8 +4,9 @@ Each ``.cia`` file in a corpus holds one pair (two automaton blocks).  Per
 pair the pipeline runs, on one integer-indexed form (``core.Indexed``):
 
 1. parse and validate both components, and resolve the io policy;
-2. explore the product from its initial states (composition and
-   reachability pruning in one pass; no composite state is named);
+2. the reachable product (``product.reachable_product``: the whole
+   product when each component reaches all its states alone, else explored
+   from the initial states; no composite state is named);
 3. structural metrics of that reachable composite;
 4. timed refinement of the indexed form (``refine.refine_indexed``);
 5. count the quotient's states and the internal transitions it keeps

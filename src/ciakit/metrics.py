@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .core import Automaton, Indexed
@@ -29,7 +30,7 @@ def gini(values: Sequence[float]) -> float | None:
     ``sum((2i - n - 1) * x_i) / (n * sum(x_i))``; 0 means perfect equality.
     Note the formula's attainable maximum is (n-1)/n, not 1.
     """
-    if any(v < 0 for v in values):
+    if any(map(operator.lt, values, repeat(0))):
         raise ValueError("gini requires non-negative values")
     n = len(values)
     total = sum(values)
@@ -57,17 +58,22 @@ def metrics_record(automaton: Automaton) -> MetricsRecord:
 
 
 def indexed_record(indexed: Indexed) -> MetricsRecord:
-    """``metrics_record`` of an indexed automaton."""
-    n, _, edges = indexed
+    """``metrics_record`` of an indexed automaton; the degrees are read from
+    ``indexed.degrees`` when the form carries them and counted per edge
+    otherwise."""
+    n, edges = indexed.n, indexed.edges
     m = sum(map(len, edges)) // 2
     internal = sum(len(flat) for flat, silent in zip(edges, indexed.internal()) if silent) // 2
-    deg_in = [0] * n
-    deg_out = [0] * n
-    for flat in edges:
-        for src in flat[0::2]:
-            deg_out[src] += 1
-        for dst in flat[1::2]:
-            deg_in[dst] += 1
+    if indexed.degrees is None:
+        deg_in = [0] * n
+        deg_out = [0] * n
+        for flat in edges:
+            for src in flat[0::2]:
+                deg_out[src] += 1
+            for dst in flat[1::2]:
+                deg_in[dst] += 1
+    else:
+        deg_out, deg_in = indexed.degrees
     return MetricsRecord(
         states=n,
         transitions=m,

@@ -13,16 +13,25 @@ sets.  Its transitions fall into four classes:
 * output    -- an output label fires alone, allowed only if its action is in
                the provided set P.
 
-One explorer builds every composite.  It numbers each component's sorted
-states, builds move tables straight from the component's transitions, codes
-a product state as one integer and runs a worklist from a seed set of
-product states, appending each move to its label's edge list
-(``core.Indexed``).
-``compose`` seeds it with every product state; ``compose_pairwise_reduce``
-and the experiment pipeline seed it with the initial states, which gives
-``reachable(compose(...))`` without building the unreachable part, and
-refine that indexed form as it is.  Composite states are named with tuple
-tokens ``(q1,q2,...)`` only when an ``Automaton`` is returned.
+``_Product`` numbers each component's sorted states, builds move tables
+straight from the component's transitions and codes a product state as one
+integer.  It builds a composite as an indexed form (``core.Indexed``), one
+flat edge list per label, in one of two ways:
+
+* whole -- every product state, numbered by its code.  Each local move is
+  emitted at once for all the codes it fires in, as slices of one list of
+  codes, and each state's degrees are sums over its digits.  ``compose``
+  always builds this.  So do ``reachable_product`` and each step of
+  ``compose_pairwise_reduce`` when every component reaches all its local
+  states from its initial ones by its own solo moves: the components can
+  then move one at a time into any product state.
+* explored -- otherwise a worklist from the initial states numbers the
+  reached states in discovery order, so the unreachable part is never built.
+
+Either way the result is ``reachable(compose(...))`` up to numbering, and the
+experiment pipeline and the fold refine that indexed form as it is.
+Composite states are named with tuple tokens ``(q1,q2,...)`` only when an
+``Automaton`` is returned.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Automaton, Hierarchy, Indexed, Label, LabelKind, Transition
 from .errors import ValidationError
@@ -78,6 +87,16 @@ def resolve_io(policy: str | IoSets, components: Iterable[Automaton]) -> IoSets:
     raise ValueError(f"unknown io policy {policy!r}")
 
 
+_LIST_SLOTS = 1 << 22  # explore numbers up to this many product states in a list
+
+
+class _Unnumbered(dict):
+    """State numbers by code; a code not yet met reads -1 and is not stored."""
+
+    def __missing__(self, code: int) -> int:
+        return -1
+
+
 class _Product:
     """Move tables of each component over the numbers of its sorted states.
 
@@ -109,7 +128,7 @@ class _Product:
         for i in range(len(components) - 2, -1, -1):
             self.strides[i] = self.strides[i + 1] * len(self.names[i + 1])
         self.size = self.strides[0] * len(self.names[0])
-        if self.size > sys.maxsize:  # explore numbers them in one list
+        if self.size > sys.maxsize:  # a whole product numbers them in one list
             raise ValidationError(f"the product has {self.size} states, too many to number")
         self.labels: list[Label] = []
         label_id: dict[tuple, int] = {}
@@ -148,6 +167,7 @@ class _Product:
             self.receives.append(receives)
             senders.append(rows)
             receivers.append(heard)
+        self.syncs_from = len(self.labels)  # the first sync label's id
         for i1, i2 in permutations(range(len(components)), 2):
             rows, heard = senders[i1], receivers[i2]
             for action in sorted(rows.keys() & heard.keys()):
@@ -169,12 +189,145 @@ class _Product:
         )
         return "(" + ",".join(parts) + ")"
 
-    def explore(self, seeds: Iterable[int]) -> tuple[Indexed, list[int]]:
-        """Every product state reachable from ``seeds``, numbered in discovery
-        order; returns the indexed form and the code of each state.
+    def reachable(self) -> tuple[Indexed, Sequence[int]]:
+        """The product states reachable from the initial ones; returns the
+        indexed form and the code of each state.  The whole product when
+        every component reaches all its local states alone, else explored."""
+        if self.reaches_all():
+            return self.whole(), range(self.size)
+        return self.explore()
 
-        ``number[code]`` is a state's number, -1 before it is met: one slot
-        per product state, less memory than a dict once a sixth are reached.
+    def reaches_all(self) -> bool:
+        """Whether each component reaches every local state from its initial
+        states by its own allowed solo moves (internal moves, outputs in P,
+        inputs in R).  Then every product state is reachable: the
+        components can move there one at a time.  Costs O(component
+        transitions); a state that only a sync reaches fails the check."""
+        for a, index, stride, solo in zip(self.components, self.index, self.strides, self.solo):
+            seen = {index[state] for state in a.initial}
+            todo = list(seen)
+            while todo:
+                s = todo.pop()
+                for _, delta in solo[s]:
+                    t = s + delta // stride
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+            if len(seen) < len(solo):
+                return False
+        return True
+
+    def whole(self) -> Indexed:
+        """Every product state, numbered by its code, with every move and
+        each state's degrees.
+
+        A solo move of component ``i`` from ``s`` fires at every code whose
+        digit ``i`` is ``s`` (``with_digit[s]``), and a sync at every code
+        whose sender's and receiver's digits are fixed; ``cells`` lists those
+        codes as slices of one list, so the edge lists share its int objects
+        and no move is emitted state by state.  A state's out-degree is the sum over its
+        digits of that local state's solo out-count, plus one per outgoing
+        sync; in-degrees likewise.  The moves are those ``explore`` would
+        emit from every state, distinct for the reasons given there.
+        """
+        states = list(range(self.size))
+        sources: list[list[int]] = [[] for _ in self.labels]
+        targets: list[list[int]] = [[] for _ in self.labels]
+        deg_out, deg_in = [0], [0]
+        for i, (solo, stride) in enumerate(zip(self.solo, self.strides)):
+            cells = self._cells(states, {i})
+            with_digit = [cells((s * stride,)) for s in range(len(solo))]
+            out_count = [len(moves) for moves in solo]
+            in_count = [0] * len(solo)
+            for s, moves in enumerate(solo):
+                for lid, delta in moves:
+                    t = s + delta // stride
+                    in_count[t] += 1
+                    sources[lid] += with_digit[s]
+                    targets[lid] += with_digit[t]
+            deg_out = [a + b for a in deg_out for b in out_count]
+            deg_in = [a + b for a in deg_in for b in in_count]
+        for i1, i2 in permutations(range(len(self.names)), 2):
+            cells = self._cells(states, {i1, i2})
+            stride1, stride2 = self.strides[i1], self.strides[i2]
+            # per action and receiver annotation: the receiver's digit before
+            # and after each of its receiving halves, times its stride
+            heard: dict[str, dict[str, tuple[list[int], list[int]]]] = {}
+            for s2, inputs in enumerate(self.receives[i2]):
+                for action, halves in inputs.items():
+                    for n2, delta in halves:
+                        at, to = heard.setdefault(action, {}).setdefault(n2, ([], []))
+                        at.append(s2 * stride2)
+                        to.append(s2 * stride2 + delta)
+            for s1, outputs in enumerate(self.sends[i1]):
+                for action, halves in outputs.items():
+                    for n2, (at, to) in heard.get(action, {}).items():
+                        sent = cells(map((s1 * stride1).__add__, at))
+                        for row, out_delta in halves:
+                            lid = row[n2]
+                            sources[lid] += sent
+                            targets[lid] += cells(map((s1 * stride1 + out_delta).__add__, to))
+        for lid in range(self.syncs_from, len(self.labels)):
+            for code in sources[lid]:
+                deg_out[code] += 1
+            for code in targets[lid]:
+                deg_in[code] += 1
+        edges = []
+        for src, dst in zip(sources, targets):
+            flat = src + dst
+            flat[::2] = src
+            flat[1::2] = dst
+            edges.append(flat)
+            src.clear()  # so the lists' memory passes to the edges label by label
+            dst.clear()
+        return Indexed(self.size, self.labels, edges, (deg_out, deg_in))
+
+    def _cells(
+        self, states: list[int], fixed: set[int]
+    ) -> Callable[[Iterable[int]], list[int]]:
+        """A function from base codes to the codes that agree with one of
+        them on the digits of the components in ``fixed`` (whose other
+        digits are 0 in each base), base by base, listed in one order for
+        every base.
+
+        Adjacent free digits form one run of codes ``step`` apart; the
+        longest run is taken as slices of ``states``, one per combination of
+        the other runs' values."""
+        runs: list[list[int]] = []  # [step, count] per run of adjacent free digits
+        free_before = False
+        for i in range(len(self.names) - 1, -1, -1):
+            free = i not in fixed
+            if free and free_before:
+                runs[-1][1] *= len(self.names[i])
+            elif free:
+                runs.append([self.strides[i], len(self.names[i])])
+            free_before = free
+        if not runs:  # every digit fixed, as for the syncs of 2 components
+            return lambda bases: list(map(states.__getitem__, bases))
+        runs.sort(key=lambda run: run[1])
+        step, count = runs.pop()
+        offsets = [0]
+        for other, n in runs:
+            offsets = [o + j * other for o in offsets for j in range(n)]
+        span = step * count
+
+        def cells(bases: Iterable[int]) -> list[int]:
+            found: list[int] = []
+            for base in bases:
+                for o in offsets:
+                    found += states[base + o : base + o + span : step]
+            return found
+
+        return cells
+
+    def explore(self) -> tuple[Indexed, list[int]]:
+        """Every product state reachable from the initial states, numbered in
+        discovery order; returns the indexed form and the code of each state.
+
+        ``number[code]`` is a state's number, -1 before it is met: a list
+        with one slot per product state up to ``_LIST_SLOTS`` of them, and
+        beyond that a dict that holds only the states met, so memory follows
+        the reached states when a product of many components reaches few.
         A state's moves are its components' solo moves plus, per ordered pair
         of components, the syncs on actions the first sends and the second
         receives there; its local states are decoded last component first.
@@ -190,9 +343,9 @@ class _Product:
         transitions give distinct code deltas, as codes are mixed-radix
         numbers.
         """
-        number = [-1] * self.size
+        number = [-1] * self.size if self.size <= _LIST_SLOTS else _Unnumbered()
         codes: list[int] = []
-        for code in seeds:
+        for code in self.initial_codes():
             if number[code] < 0:
                 number[code] = len(codes)
                 codes.append(code)
@@ -251,14 +404,12 @@ class _Product:
 def compose(components: Sequence[Automaton], io: IoSets) -> Automaton:
     """N-ary product composition under the four transition classes."""
     prod = _Product(components, io)
-    indexed, codes = prod.explore(range(prod.size))
-    return prod.automaton(indexed, list(map(prod.token, codes)))
+    return prod.automaton(prod.whole(), list(map(prod.token, range(prod.size))))
 
 
 def reachable_product(components: Sequence[Automaton], io: IoSets) -> Indexed:
     """The reachable composite as an indexed form; no state is named."""
-    prod = _Product(components, io)
-    return prod.explore(prod.initial_codes())[0]
+    return _Product(components, io).reachable()[0]
 
 
 def compose_pairwise_reduce(
@@ -297,7 +448,7 @@ def compose_pairwise_reduce(
         )
         prod = _Product([acc, nxt], step)
         prod.hierarchy = Hierarchy.node(*(a.hierarchy for a in components[: i + 1]))
-        indexed, codes = prod.explore(prod.initial_codes())
+        indexed, codes = prod.reachable()
         tokens = list(map(prod.token, codes))
         block, _ = refine_indexed(indexed, timeout, strict_internal)
         acc = quotient(prod.automaton(indexed, tokens), Partition.grouped(tokens, block))

@@ -241,7 +241,7 @@ def refine_indexed(
             stats.elapsed_s = elapsed
             raise RefinementTimeout(elapsed, timeout)
 
-    n, _, edges = indexed
+    n, edges = indexed.n, indexed.edges
     internal = indexed.internal()
     silent: list[list[int]] = [[] for _ in range(n)]
     for flat, is_internal in zip(edges, internal):

@@ -149,7 +149,7 @@ def is_weak_bisimulation(indexed, block, strict_internal: bool = False) -> bool:
     on purpose: one DFS closure per state, no condensation, no bitsets.
     This checks stability, not coarseness: any finer stable partition passes.
     """
-    n, labels, edges = indexed
+    n, labels, edges = indexed.n, indexed.labels, indexed.edges
     silent: list[list[int]] = [[] for _ in range(n)]
     steps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for lid, (label, flat) in enumerate(zip(labels, edges)):

@@ -460,10 +460,10 @@ COMMANDS = ["parse", "compose", "refine", "metrics", "generate", "experiment", "
 # sha256 of the help, usage-error text and exit codes below at COLUMNS=80;
 # argparse words and wraps its output differently from one Python to the next
 HELP_SHA256 = {
-    (3, 10): "80fef1838cf71baf4fbcc717f326f447c78b95b944931e874b28d6ae5ac3b3db",
-    (3, 11): "80fef1838cf71baf4fbcc717f326f447c78b95b944931e874b28d6ae5ac3b3db",
-    (3, 12): "80fef1838cf71baf4fbcc717f326f447c78b95b944931e874b28d6ae5ac3b3db",
-    (3, 13): "0672ddc5430bf1eef2ab703de04810d53f42692fa6571696372be42d4be8fd58",
+    (3, 10): "c8b6d8df8e8f74c51822ef98c5d3062109c3a5643dc8d7bd9d0b6b7779e36161",
+    (3, 11): "c8b6d8df8e8f74c51822ef98c5d3062109c3a5643dc8d7bd9d0b6b7779e36161",
+    (3, 12): "c8b6d8df8e8f74c51822ef98c5d3062109c3a5643dc8d7bd9d0b6b7779e36161",
+    (3, 13): "9240ea1df3e22e2e6fe26628df52654b69515377dc54d2b7fa7cc499239ec095",
 }
 
 

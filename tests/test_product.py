@@ -1,5 +1,9 @@
 """The product explorer: complete from every state, and seeded with the
-initial states it gives reachable(compose)."""
+initial states it gives reachable(compose).  The whole product: built when
+every component reaches all its states alone, equal to the explored one up
+to numbering, and with the degrees its edges give."""
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,16 +11,18 @@ from hypothesis import strategies as st
 
 from ciakit import Automaton, Hierarchy, IoSets, Label, compose, default_io_sets, reachable
 from ciakit.metrics import indexed_record, metrics_record
-from ciakit.product import _Product, reachable_product
+from ciakit.product import _LIST_SLOTS, _Product, reachable_product
+from conftest import aut
 from oracles import compose_oracle
 
 ACTIONS = ("a", "b")
 
 
 @st.composite
-def component(draw, index):
+def component(draw, index, cycle=False):
     """A small component on two instance names, with shared action names so
-    components synchronize."""
+    components synchronize.  ``cycle`` adds an internal move from each state
+    to the next, round the sorted states, so every state is reached alone."""
     names = (f"C{index}", f"D{index}")
     states = [f"s{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
     labels = [Label(None, act, name) for act in ACTIONS for name in names]
@@ -26,6 +32,9 @@ def component(draw, index):
         st.tuples(st.sampled_from(states), st.sampled_from(labels), st.sampled_from(states)),
         max_size=8,
     ))
+    if cycle:
+        step = Label(names[0], "a", names[1])
+        trans += [(s, step, t) for s, t in zip(states, states[1:] + states[:1])]
     init = draw(st.lists(st.sampled_from(states), min_size=1, max_size=2, unique=True))
     return Automaton.make(f"X{index}", states, trans, init, Hierarchy.leaf(*names))
 
@@ -41,7 +50,7 @@ def test_exploring_from_initial_states_equals_reachable_compose(k, data, closed)
     expected = reachable(composite)
     assert reachable(expected) == expected
     prod = _Product(components, io)
-    indexed, codes = prod.explore(prod.initial_codes())
+    indexed, codes = prod.explore()
     assert prod.automaton(indexed, list(map(prod.token, codes))) == expected
     assert indexed_record(reachable_product(components, io)) == metrics_record(expected)
 
@@ -50,16 +59,117 @@ def test_exploring_from_initial_states_equals_reachable_compose(k, data, closed)
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data(), closed=st.booleans(), every_state=st.booleans())
 def test_explorer_emits_each_move_once(k, data, closed, every_state):
-    """The edge lists are not deduplicated: ``explore`` must never emit a
-    move twice, seeded from every state (as ``compose``) or from the initial
-    states."""
+    """The edge lists are not deduplicated: neither the whole product (as
+    ``compose`` builds it) nor ``explore`` may emit a move twice."""
     components = [data.draw(component(i)) for i in range(k)]
     io = IoSets.closed() if closed else default_io_sets(components)
     prod = _Product(components, io)
-    indexed, _ = prod.explore(range(prod.size) if every_state else prod.initial_codes())
+    indexed = prod.whole() if every_state else prod.explore()[0]
     moves = [
         (src, lid, dst)
         for lid, flat in enumerate(indexed.edges)
         for src, dst in zip(flat[::2], flat[1::2])
     ]
     assert len(moves) == len(set(moves))
+
+
+def edge_sets(indexed, codes):
+    """Per label, the set of edges as (source code, target code) pairs."""
+    return [
+        {(codes[s], codes[d]) for s, d in zip(flat[::2], flat[1::2])} for flat in indexed.edges
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data(), closed=st.booleans(), cycle=st.booleans())
+def test_whole_product_equals_explored_product(k, data, closed, cycle):
+    """When every component reaches all its states alone, the whole product
+    is the explored one renumbered by code, with the degrees its edges give;
+    either way ``reachable_product`` has the metrics of
+    ``reachable(compose(...))``."""
+    components = [data.draw(component(i, cycle)) for i in range(k)]
+    io = IoSets.closed() if closed else default_io_sets(components)
+    prod = _Product(components, io)
+    expected = metrics_record(reachable(compose(components, io)))
+    assert indexed_record(reachable_product(components, io)) == expected
+    if cycle:
+        assert prod.reaches_all()
+    if not prod.reaches_all():
+        return
+    whole = prod.whole()
+    explored, codes = prod.explore()
+    assert whole.n == explored.n == prod.size
+    assert edge_sets(whole, range(prod.size)) == edge_sets(explored, codes)
+    deg_out, deg_in = [0] * whole.n, [0] * whole.n
+    for flat in whole.edges:
+        for s, d in zip(flat[::2], flat[1::2]):
+            deg_out[s] += 1
+            deg_in[d] += 1
+    assert whole.degrees == (deg_out, deg_in)
+    assert indexed_record(whole) == indexed_record(explored) == expected
+
+
+def sender_receiver():
+    """A sends x once; B receives it once, so B's second state needs a
+    partner: a sync, or a solo input when x is in R."""
+    sender = aut("A", ("A",), ["a0", "a1"], [("a0", ("A", "x", None), "a1")])
+    receiver = aut("B", ("B",), ["b0", "b1"], [("b0", (None, "x", "B"), "b1")])
+    return [sender, receiver]
+
+
+@pytest.mark.parametrize("provided, states", [((), 2), (("x",), 3)],
+                         ids=["closed", "input-outside-R"])
+def test_a_state_reached_only_with_a_partner_takes_the_explorer(provided, states):
+    """Closed io reaches a1 and b1 only by the sync; with x in P but not in R,
+    b1 still needs the sync.  Either way the check fails and the explorer
+    builds the reachable part, which matches reachable(compose(...))."""
+    components = sender_receiver()
+    io = IoSets(frozenset(provided), frozenset())
+    prod = _Product(components, io)
+    assert not prod.reaches_all()
+    indexed, codes = prod.reachable()
+    assert indexed.degrees is None
+    expected = reachable(compose(components, io))
+    assert prod.automaton(indexed, list(map(prod.token, codes))) == expected
+    assert len(expected.states) == states < prod.size
+    assert indexed_record(indexed) == metrics_record(expected)
+
+
+def scheduler(n):
+    """Milner's scheduler: a ring of n cells.  Cell i, once started by c_i,
+    does a_i, then b_i and starts cell i+1 in either order; cell 1 starts
+    in R, the others wait in W."""
+    cells = []
+    for i in range(1, n + 1):
+        me, nxt = f"C{i}", f"c{i % n + 1}"
+        trans = [
+            ("W", (None, f"c{i}", me), "R"),
+            ("R", (me, f"a{i}", None), "X"),
+            ("X", (me, f"b{i}", None), "Yb"),
+            ("X", (me, nxt, None), "Yc"),
+            ("Yb", (me, nxt, None), "W"),
+            ("Yc", (me, f"b{i}", None), "W"),
+        ]
+        init = ["R"] if i == 1 else ["W"]
+        cells.append(aut(f"S{i}", (me,), ["W", "R", "X", "Yb", "Yc"], trans, init))
+    io = IoSets(frozenset(f"{x}{i}" for x in "ab" for i in range(1, n + 1)), frozenset())
+    return cells, io
+
+
+def test_explorer_memory_follows_the_reached_states():
+    """Ten scheduler cells make 5^10 (about 9.8M) product states, of which
+    3n * 2^(n-1) = 15,360 are reachable.  A cell reaches W only when started,
+    so the explorer runs, and past ``_LIST_SLOTS`` it numbers only the
+    states it meets: a slot per product state would take about 78 MB."""
+    cells, io = scheduler(10)
+    assert _Product(cells, io).size == 5**10 > _LIST_SLOTS
+    tracemalloc.start()
+    try:
+        indexed = reachable_product(cells, io)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert indexed.n == 3 * 10 * 2**9
+    assert peak < 20 * 2**20
+    assert indexed.degrees is None

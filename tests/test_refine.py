@@ -685,7 +685,7 @@ def test_referee_on_composites_past_the_oracle_bound(strict, seed, closed, data)
     if strict:
         return  # strict quotients drop internal self-loops they may need
     # the quotient, beside the composite, each state in its quotient state's block
-    n, labels, edges = composite
+    n, labels, edges = composite.n, composite.labels, composite.edges
     triples = [(s, lid, d) for lid, flat in enumerate(edges) for s, d in zip(flat[::2], flat[1::2])]
     union = [list(flat) for flat in edges]
     for src, lid, dst in quotient_triples(triples, block, composite.internal()):
