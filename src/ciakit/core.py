@@ -243,19 +243,20 @@ class Automaton:
 class Indexed(NamedTuple):
     """An automaton's transition graph over integer state numbers.
 
-    States are ``0 .. n-1`` and ``labels`` is the label table.  ``edges[lid]``
-    holds label ``lid``'s transitions as one flat list ``[src, dst, src, dst,
-    ...]``; ``zip(flat[::2], flat[1::2])`` reads its pairs.  No transition
-    occurs twice.  Composition, metrics and refinement work on this form;
-    state names are made or read only where an ``Automaton`` is built or
-    taken apart.  ``degrees`` is ``(out, in)``, each state's out- and
+    States are ``0 .. n-1`` and ``labels`` is the label table.  Label
+    ``lid``'s j-th transition runs from ``sources[lid][j]`` to
+    ``targets[lid][j]``; ``zip(sources[lid], targets[lid])`` reads its pairs.
+    No transition occurs twice.  Composition, metrics and refinement work on
+    this form; state names are made or read only where an ``Automaton`` is
+    built or taken apart.  ``degrees`` is ``(out, in)``, each state's out- and
     in-degree, when whoever built the form knew them without counting edges
     (a whole product, summed per digit); ``None`` means count them.
     """
 
     n: int
     labels: list[Label]
-    edges: list[list[int]]
+    sources: list[list[int]]
+    targets: list[list[int]]
     degrees: tuple[list[int], list[int]] | None = None
 
     @classmethod
@@ -264,13 +265,16 @@ class Indexed(NamedTuple):
         states = automaton.sorted_states()
         index = {state: i for i, state in enumerate(states)}
         label_id: dict[Label, int] = {}
-        edges: list[list[int]] = []
+        sources: list[list[int]] = []
+        targets: list[list[int]] = []
         for source, label, target in automaton.transitions:
-            lid = label_id.setdefault(label, len(edges))
-            if lid == len(edges):
-                edges.append([])
-            edges[lid] += (index[source], index[target])
-        return cls(len(states), list(label_id), edges), states
+            lid = label_id.setdefault(label, len(sources))
+            if lid == len(sources):
+                sources.append([])
+                targets.append([])
+            sources[lid].append(index[source])
+            targets[lid].append(index[target])
+        return cls(len(states), list(label_id), sources, targets), states
 
     def internal(self) -> list[bool]:
         """Per label id: whether the label is internal (silent)."""

@@ -11,15 +11,16 @@ pair the pipeline runs, on one integer-indexed form (``core.Indexed``):
 4. timed refinement of the indexed form (``refine.refine_indexed``);
 5. count the quotient's states and the internal transitions it keeps
    (``refine.quotient_triples``, the rule ``refine.quotient`` applies to
-   names, here over block ids and the internal labels' edge lists only);
+   names, here over block ids and the internal labels' edges only);
 6. one CSV row.
 
 Row order follows sorted file names regardless of worker count.  Refinement
 is considered a success when it merged at least one pair of states.  A pair
-whose file is malformed or whose pipeline raises becomes a ``status=error``
-row, and the run goes on.  With several workers, a broken process pool (a
-worker killed, say) is logged once and every pair it had not finished
-becomes an error row; the rows already computed stay, in file order.
+whose file cannot be read or decoded, is malformed, or whose pipeline raises
+becomes a ``status=error`` row, and the run goes on.  With several workers, a
+broken process pool (a worker killed, say) is logged once and every pair it
+had not finished becomes an error row; the rows already computed stay, in
+file order.
 
 Timing: ``elapsed_ms`` is the wall-clock time of refining the indexed form
 by default, a float of milliseconds written as its exact ``repr``;
@@ -41,7 +42,7 @@ import logging
 import statistics
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, get_args, get_type_hints
 
@@ -171,14 +172,15 @@ def run_pair(
     io_sets = resolve_io(io_policy, [first, second])
     composite = reachable_product([first, second], io_sets)
     pre = indexed_record(composite)
+    composite = composite._replace(degrees=None)  # only the metrics read them
     stats = RefineStats()
     try:
         block, refined = refine_indexed(composite, timeout, strict_internal, stats)
         internal = composite.internal()
         # count the internal transitions the quotient keeps; the rest are not built
         silent = chain.from_iterable(
-            zip(flat[::2], repeat(lid), flat[1::2])
-            for lid, flat in enumerate(composite.edges) if internal[lid]
+            zip(composite.sources[lid], repeat(lid), composite.targets[lid])
+            for lid in compress(range(len(internal)), internal)
         )
         left = len(quotient_triples(silent, block, internal))
         status = "ok"
@@ -236,15 +238,15 @@ def _row(
     )
 
 
-def _run_file(job: tuple[str, str], **options) -> ExperimentRow:
-    """The row of one ``(file text, pair id)`` job; ``options`` go to ``run_pair``."""
-    text, pair_id = job
+def _run_file(job: tuple[Path, str], **options) -> ExperimentRow:
+    """The row of one ``(pair file, pair id)`` job; ``options`` go to ``run_pair``."""
+    path, pair_id = job
     try:
-        automata = parse_automata(text)
+        automata = parse_automata(path.read_text(encoding="utf-8"))
         if len(automata) != 2:
             raise CiaError(f"pair file must hold exactly 2 automata, found {len(automata)}")
         return run_pair(pair_id, automata[0], automata[1], **options)
-    except CiaError:
+    except (CiaError, OSError, UnicodeDecodeError):  # a malformed or unreadable pair file
         return _row(pair_id, "error")
     except Exception:  # a bug hit by one pair must not end the whole run
         _log.exception("pair %s failed", pair_id)
@@ -266,7 +268,7 @@ def run_experiment(
     paths = sorted(corpus.glob("*.cia"))
     if not paths:
         raise CiaError(f"no .cia files in {corpus}")
-    jobs = [(path.read_text(encoding="utf-8"), path.stem) for path in paths]
+    jobs = [(path, path.stem) for path in paths]
     run = partial(_run_file, io_policy=io_policy, timeout=timeout,
                   deterministic_timing=deterministic_timing, strict_internal=strict_internal)
     workers = min(workers, len(jobs))  # a pool starts every worker it may use

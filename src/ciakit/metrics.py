@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 from .core import Automaton, Indexed
@@ -61,17 +61,15 @@ def indexed_record(indexed: Indexed) -> MetricsRecord:
     """``metrics_record`` of an indexed automaton; the degrees are read from
     ``indexed.degrees`` when the form carries them and counted per edge
     otherwise."""
-    n, edges = indexed.n, indexed.edges
-    m = sum(map(len, edges)) // 2
-    internal = sum(len(flat) for flat, silent in zip(edges, indexed.internal()) if silent) // 2
+    n, sources = indexed.n, indexed.sources
+    m = sum(map(len, sources))
+    internal = sum(len(src) for src, silent in zip(sources, indexed.internal()) if silent)
     if indexed.degrees is None:
-        deg_in = [0] * n
-        deg_out = [0] * n
-        for flat in edges:
-            for src in flat[0::2]:
-                deg_out[src] += 1
-            for dst in flat[1::2]:
-                deg_in[dst] += 1
+        deg_out, deg_in = [0] * n, [0] * n
+        for src in chain.from_iterable(sources):
+            deg_out[src] += 1
+        for dst in chain.from_iterable(indexed.targets):
+            deg_in[dst] += 1
     else:
         deg_out, deg_in = indexed.degrees
     return MetricsRecord(

@@ -15,8 +15,8 @@ sets.  Its transitions fall into four classes:
 
 ``_Product`` numbers each component's sorted states, builds move tables
 straight from the component's transitions and codes a product state as one
-integer.  It builds a composite as an indexed form (``core.Indexed``), one
-flat edge list per label, in one of two ways:
+integer.  It builds a composite as an indexed form (``core.Indexed``), a
+list of sources and a list of targets per label, in one of two ways:
 
 * whole -- every product state, numbered by its code.  Each local move is
   emitted at once for all the codes it fires in, as slices of one list of
@@ -224,11 +224,12 @@ class _Product:
         A solo move of component ``i`` from ``s`` fires at every code whose
         digit ``i`` is ``s`` (``with_digit[s]``), and a sync at every code
         whose sender's and receiver's digits are fixed; ``cells`` lists those
-        codes as slices of one list, so the edge lists share its int objects
-        and no move is emitted state by state.  A state's out-degree is the sum over its
-        digits of that local state's solo out-count, plus one per outgoing
-        sync; in-degrees likewise.  The moves are those ``explore`` would
-        emit from every state, distinct for the reasons given there.
+        codes as slices of one list, so the source and target lists share its
+        int objects and no move is emitted state by state.  A state's
+        out-degree is the sum over its digits of that local state's solo
+        out-count, plus one per outgoing sync; in-degrees likewise.  The moves
+        are those ``explore`` would emit from every state, distinct for the
+        reasons given there.
         """
         states = list(range(self.size))
         sources: list[list[int]] = [[] for _ in self.labels]
@@ -272,15 +273,7 @@ class _Product:
                 deg_out[code] += 1
             for code in targets[lid]:
                 deg_in[code] += 1
-        edges = []
-        for src, dst in zip(sources, targets):
-            flat = src + dst
-            flat[::2] = src
-            flat[1::2] = dst
-            edges.append(flat)
-            src.clear()  # so the lists' memory passes to the edges label by label
-            dst.clear()
-        return Indexed(self.size, self.labels, edges, (deg_out, deg_in))
+        return Indexed(self.size, self.labels, sources, targets, (deg_out, deg_in))
 
     def _cells(
         self, states: list[int], fixed: set[int]
@@ -332,16 +325,16 @@ class _Product:
         of components, the syncs on actions the first sends and the second
         receives there; its local states are decoded last component first.
 
-        Moves are appended with no duplicate check, because the moves of
-        one state are distinct.  Each component's transitions are a
-        frozenset.  Solo labels of different components differ: every
-        annotation names an instance of the component's own hierarchy, and
-        the hierarchies are disjoint.  A sync label ``(n1,a,n2)`` names its
-        sender's and its receiver's component, so it is no solo label and
-        fixes the pair, which is visited once, and ``a``, which is met once
-        in the pair's common actions.  For one label, distinct local
-        transitions give distinct code deltas, as codes are mixed-radix
-        numbers.
+        Each move appends its source and target to its label's two lists,
+        with no duplicate check, because the moves of one state are
+        distinct.  Each component's transitions are a frozenset.  Solo
+        labels of different components differ: every annotation names an
+        instance of the component's own hierarchy, and the hierarchies are
+        disjoint.  A sync label ``(n1,a,n2)`` names its sender's and its
+        receiver's component, so it is no solo label and fixes the pair,
+        which is visited once, and ``a``, which is met once in the pair's
+        common actions.  For one label, distinct local transitions give
+        distinct code deltas, as codes are mixed-radix numbers.
         """
         number = [-1] * self.size if self.size <= _LIST_SLOTS else _Unnumbered()
         codes: list[int] = []
@@ -349,7 +342,8 @@ class _Product:
             if number[code] < 0:
                 number[code] = len(codes)
                 codes.append(code)
-        edges: list[list[int]] = [[] for _ in self.labels]
+        sources: list[list[int]] = [[] for _ in self.labels]
+        targets: list[list[int]] = [[] for _ in self.labels]
         pairs = list(permutations(range(len(self.names)), 2))
         sizes = [len(names) for names in self.names]
         last_first = list(zip(sizes, self.solo))[::-1]
@@ -375,10 +369,9 @@ class _Product:
                 if dst < 0:
                     dst = number[target] = len(codes)
                     codes.append(target)
-                edge = edges[lid]
-                edge.append(pos)
-                edge.append(dst)
-        return Indexed(len(codes), self.labels, edges), codes
+                sources[lid].append(pos)
+                targets[lid].append(dst)
+        return Indexed(len(codes), self.labels, sources, targets), codes
 
     def automaton(self, indexed: Indexed, tokens: list[str]) -> Automaton:
         """The explored states under their tuple tokens ``(q1,q2,...)``; raises
@@ -393,8 +386,8 @@ class _Product:
             actions=self.actions,
             transitions=(
                 Transition(tokens[s], label, tokens[d])
-                for label, flat in zip(indexed.labels, indexed.edges)
-                for s, d in zip(flat[::2], flat[1::2])
+                for label, src, dst in zip(indexed.labels, indexed.sources, indexed.targets)
+                for s, d in zip(src, dst)
             ),
             initial=frozenset(self.token(code) for code in self.initial_codes()),
             hierarchy=self.hierarchy,

@@ -241,18 +241,17 @@ def refine_indexed(
             stats.elapsed_s = elapsed
             raise RefinementTimeout(elapsed, timeout)
 
-    n, edges = indexed.n, indexed.edges
+    n, sources, targets = indexed.n, indexed.sources, indexed.targets
     internal = indexed.internal()
     silent: list[list[int]] = [[] for _ in range(n)]
-    for flat, is_internal in zip(edges, internal):
-        if is_internal:
-            for src, dst in zip(flat[::2], flat[1::2]):
-                silent[src].append(dst)
+    for lid in compress(range(len(internal)), internal):
+        for src, dst in zip(sources[lid], targets[lid]):
+            silent[src].append(dst)
 
     comp, k, largest = _silent_sccs(silent)
     dag: list[set[int]] = [set() for _ in range(k)]
-    for src, targets in enumerate(silent):
-        for dst in targets:
+    for src, succs in enumerate(silent):
+        for dst in succs:
             if comp[src] != comp[dst]:
                 dag[comp[src]].add(comp[dst])
     # only nodes with silent successors can gain targets from propagation
@@ -287,10 +286,10 @@ def refine_indexed(
     # for label ``lid``) finds them.  In the default semantics every internal
     # label shares the closure row, which is never empty, so it sets no bit.
     enabled = [0] * k
-    for lid, flat in enumerate(edges):
+    for lid, src_list in enumerate(sources):
         if strict_internal or not internal[lid]:
             bit = 1 << lid
-            for src in flat[::2]:
+            for src in src_list:
                 enabled[comp[src]] |= bit
     _propagate(enabled, inner)
     shared, size = split(range(k), enabled)
@@ -317,8 +316,7 @@ def refine_indexed(
             profile = [[row_id.setdefault(closure[c], len(row_id))] for c in live]
         for lid in _bits(wanted):
             step = [0] * k
-            flat = edges[lid]
-            for src, dst in zip(flat[::2], flat[1::2]):
+            for src, dst in zip(sources[lid], targets[lid]):
                 step[comp[src]] |= closure[comp[dst]]
             _propagate(step, inner)
             rows = list(map(step.__getitem__, live))
@@ -326,7 +324,7 @@ def refine_indexed(
                 profile[i].append(row_id.setdefault(rows[i], len(row_id)))
             check_budget()
         stats.refine_steps += wanted.bit_count() + (not strict_internal)
-        targets = [_bits(row) for row in row_id]
+        reaches = [_bits(row) for row in row_id]
         del closure, row_id
 
     # Later rounds key live nodes by block and the blocks their rows reach;
@@ -336,7 +334,7 @@ def refine_indexed(
         live_blocks = sum(s > 1 for s in size)
         check_budget()
         reached = {
-            r: frozenset(map(block.__getitem__, targets[r]))
+            r: frozenset(map(block.__getitem__, reaches[r]))
             for r in set(chain.from_iterable(profile))
         }
         shared, size = split(

@@ -149,12 +149,12 @@ def is_weak_bisimulation(indexed, block, strict_internal: bool = False) -> bool:
     on purpose: one DFS closure per state, no condensation, no bitsets.
     This checks stability, not coarseness: any finer stable partition passes.
     """
-    n, labels, edges = indexed.n, indexed.labels, indexed.edges
+    n, labels = indexed.n, indexed.labels
     silent: list[list[int]] = [[] for _ in range(n)]
     steps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for lid, (label, flat) in enumerate(zip(labels, edges)):
+    for lid, (label, sources, targets) in enumerate(zip(labels, indexed.sources, indexed.targets)):
         internal = label.kind is LabelKind.INTERNAL
-        for src, dst in zip(flat[::2], flat[1::2]):
+        for src, dst in zip(sources, targets):
             if internal:
                 silent[src].append(dst)
             if strict_internal or not internal:

@@ -13,6 +13,7 @@ from ciakit import (
     ValidationError,
     reachable,
 )
+from ciakit.core import Indexed
 from conftest import aut, python_output
 
 
@@ -210,6 +211,16 @@ def test_reachable_properties(a):
     assert a.initial <= r.states
     assert r.transitions <= a.transitions
     assert r.states <= a.states
+    # the indexed form: one source and one target column per label, which
+    # read back exactly the transitions
+    indexed, states = Indexed.of(a)
+    assert len(indexed.sources) == len(indexed.targets) == len(indexed.labels)
+    assert all(len(src) == len(dst) for src, dst in zip(indexed.sources, indexed.targets))
+    assert {
+        Transition(states[s], label, states[d])
+        for label, src, dst in zip(indexed.labels, indexed.sources, indexed.targets)
+        for s, d in zip(src, dst)
+    } == a.transitions
 
 
 NUMBERING_SCRIPT = """
@@ -220,7 +231,7 @@ from ciakit.refine import refine_indexed
 out = []
 for a, b in generate_corpus(GenParams(state_count_range=(4, 7), seed=3), 3):
     indexed = reachable_product([a, b], default_io_sets([a, b]))
-    out.append(([l.render() for l in indexed.labels], indexed.edges,
+    out.append(([l.render() for l in indexed.labels], indexed.sources, indexed.targets,
                 refine_indexed(indexed)))
 print(hashlib.sha256(repr(out).encode()).hexdigest())
 """

@@ -29,6 +29,7 @@ from ciakit.experiment import (
     rows_from_csv,
     rows_to_csv,
 )
+from ciakit.cli import main
 from ciakit.product import resolve_io
 from conftest import aut, handshake_pair, nested_document, python_output
 
@@ -142,15 +143,28 @@ class TestRunExperiment:
 
     def test_malformed_pair_marked_and_run_continues(self, tmp_path):
         corpus = tmp_path / "corpus"
-        write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 2), corpus)
+        write_corpus(generate_corpus(GenParams(state_count_range=(3, 4), seed=2), 3), corpus)
+        clean = rows_to_csv(run_experiment(corpus, deterministic_timing=True)).splitlines()
         (corpus / "pair00000.cia").write_text("automaton broken\n", encoding="utf-8")
+        (corpus / "pair00001.cia").write_bytes(b"automaton \xff\xfe\n")  # not UTF-8
+        (corpus / "zy.cia").mkdir()  # matches *.cia but cannot be read
         a, _ = handshake_pair()
         (corpus / "zz_single.cia").write_text(serialize_automaton(a), encoding="utf-8")
-        rows = run_experiment(corpus)
-        assert len(rows) == 3
-        assert rows[0].status == "error"
-        assert rows[1].status == "ok"
-        assert rows[2].status == "error"  # one block only
+        rows = run_experiment(corpus, deterministic_timing=True)
+        assert [(r.pair_id, r.status) for r in rows] == [
+            ("pair00000", "error"),
+            ("pair00001", "error"),
+            ("pair00002", "ok"),
+            ("zy", "error"),
+            ("zz_single", "error"),  # one block only
+        ]
+        out = tmp_path / "rows.csv"
+        args = ["experiment", "--corpus", str(corpus), "--deterministic-timing", "--out", str(out)]
+        for workers in ("1", "2"):
+            assert main([*args, "--workers", workers]) == 0
+            lines = out.read_text(encoding="utf-8").splitlines()
+            assert lines == rows_to_csv(rows).splitlines()
+            assert lines[3] == clean[3]  # pair00002's row is the one of the clean run
 
     def test_unexpected_exception_becomes_error_row(self, tmp_path, monkeypatch, caplog):
         corpus = tmp_path / "corpus"

@@ -65,10 +65,12 @@ def test_explorer_emits_each_move_once(k, data, closed, every_state):
     io = IoSets.closed() if closed else default_io_sets(components)
     prod = _Product(components, io)
     indexed = prod.whole() if every_state else prod.explore()[0]
+    assert len(indexed.sources) == len(indexed.targets) == len(indexed.labels)
+    assert all(len(src) == len(dst) for src, dst in zip(indexed.sources, indexed.targets))
     moves = [
         (src, lid, dst)
-        for lid, flat in enumerate(indexed.edges)
-        for src, dst in zip(flat[::2], flat[1::2])
+        for lid, (sources, targets) in enumerate(zip(indexed.sources, indexed.targets))
+        for src, dst in zip(sources, targets)
     ]
     assert len(moves) == len(set(moves))
 
@@ -76,7 +78,8 @@ def test_explorer_emits_each_move_once(k, data, closed, every_state):
 def edge_sets(indexed, codes):
     """Per label, the set of edges as (source code, target code) pairs."""
     return [
-        {(codes[s], codes[d]) for s, d in zip(flat[::2], flat[1::2])} for flat in indexed.edges
+        {(codes[s], codes[d]) for s, d in zip(src, dst)}
+        for src, dst in zip(indexed.sources, indexed.targets)
     ]
 
 
@@ -102,8 +105,8 @@ def test_whole_product_equals_explored_product(k, data, closed, cycle):
     assert whole.n == explored.n == prod.size
     assert edge_sets(whole, range(prod.size)) == edge_sets(explored, codes)
     deg_out, deg_in = [0] * whole.n, [0] * whole.n
-    for flat in whole.edges:
-        for s, d in zip(flat[::2], flat[1::2]):
+    for src, dst in zip(whole.sources, whole.targets):
+        for s, d in zip(src, dst):
             deg_out[s] += 1
             deg_in[d] += 1
     assert whole.degrees == (deg_out, deg_in)

@@ -467,7 +467,8 @@ def test_block_ids_are_compact(strict, seed):
     # a self-loop of its own on every state gives every silent SCC its own
     # enabled labels, so round 1 settles every node
     own = [Label(None, f"own{q}", "A") for q in range(form.n)]
-    settled = Indexed(form.n, form.labels + own, form.edges + [[q, q] for q in range(form.n)])
+    loops = [[q] for q in range(form.n)]
+    settled = Indexed(form.n, form.labels + own, form.sources + loops, form.targets + loops)
     for indexed in (form, settled):
         stats = RefineStats()
         block, count = refine_indexed(indexed, strict_internal=strict, stats=stats)
@@ -589,7 +590,7 @@ def test_refinement_ignores_label_numbering(strict):
             j = rng.randint(0, i)
             order[i], order[j] = order[j], order[i]
         shuffled = Indexed(form.n, [form.labels[i] for i in order],
-                           [form.edges[i] for i in order])
+                           [form.sources[i] for i in order], [form.targets[i] for i in order])
         results = []
         for indexed in (form, shuffled):
             stats = RefineStats()
@@ -612,7 +613,9 @@ def test_labels_without_edges_change_nothing(strict):
     # labels with empty edge lists must not change metrics, the partition,
     # any counter or the quotient
     for seed, form in enumerate(label_numbering_cases()):
-        padded = Indexed(form.n, form.labels + list(UNUSED), form.edges + [[] for _ in UNUSED])
+        empty = [[] for _ in UNUSED]
+        padded = Indexed(form.n, form.labels + list(UNUSED), form.sources + empty,
+                         form.targets + empty)
         results = []
         for indexed in (form, padded):
             stats = RefineStats()
@@ -620,8 +623,8 @@ def test_labels_without_edges_change_nothing(strict):
             stats.elapsed_s = 0.0
             triples = [
                 (src, lid, dst)
-                for lid, flat in enumerate(indexed.edges)
-                for src, dst in zip(flat[::2], flat[1::2])
+                for lid, (sources, targets) in enumerate(zip(indexed.sources, indexed.targets))
+                for src, dst in zip(sources, targets)
             ]
             kept = quotient_triples(triples, block, indexed.internal())
             results.append((indexed_record(indexed), block, count, stats, kept))
@@ -685,9 +688,16 @@ def test_referee_on_composites_past_the_oracle_bound(strict, seed, closed, data)
     if strict:
         return  # strict quotients drop internal self-loops they may need
     # the quotient, beside the composite, each state in its quotient state's block
-    n, labels, edges = composite.n, composite.labels, composite.edges
-    triples = [(s, lid, d) for lid, flat in enumerate(edges) for s, d in zip(flat[::2], flat[1::2])]
-    union = [list(flat) for flat in edges]
+    n, labels = composite.n, composite.labels
+    triples = [
+        (s, lid, d)
+        for lid, (src, dst) in enumerate(zip(composite.sources, composite.targets))
+        for s, d in zip(src, dst)
+    ]
+    sources = [list(src) for src in composite.sources]
+    targets = [list(dst) for dst in composite.targets]
     for src, lid, dst in quotient_triples(triples, block, composite.internal()):
-        union[lid] += (n + src, n + dst)
-    assert is_weak_bisimulation(Indexed(n + count, labels, union), block + list(range(count)))
+        sources[lid].append(n + src)
+        targets[lid].append(n + dst)
+    union = Indexed(n + count, labels, sources, targets)
+    assert is_weak_bisimulation(union, block + list(range(count)))
