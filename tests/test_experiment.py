@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import logging
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
@@ -130,6 +131,28 @@ class TestRunPair:
         row = run_pair("chain", chain, idle, deterministic_timing=True)
         assert row.elapsed_ms > 300_000
         assert row.over_5min == 0
+
+
+EXPERIMENT_SHA256 = "747b18fc8d24557e9e83b2f173e95842e2103a749bc3d284300cbffd1bc47815"
+
+
+def test_experiment_pinned_output(tmp_path):
+    """sha256 of the ``--deterministic-timing`` CSVs of a clique-heavy corpus,
+    most of whose pairs have components with silent cycles, under open and
+    closed io and both semantics; any change of a row moves it."""
+    write_corpus(
+        generate_corpus(GenParams(state_count_range=(4, 14), clique_bias=0.6, seed=3), 16),
+        tmp_path,
+    )
+    digest = hashlib.sha256()
+    for io_policy in ("open", "closed"):
+        for strict in (False, True):
+            rows = run_experiment(
+                tmp_path, io_policy, deterministic_timing=True, strict_internal=strict
+            )
+            assert all(row.status == "ok" for row in rows)
+            digest.update(rows_to_csv(rows).encode())
+    assert digest.hexdigest() == EXPERIMENT_SHA256
 
 
 class TestRunExperiment:
