@@ -62,7 +62,6 @@ def indexed_record(indexed: Indexed) -> MetricsRecord:
     ``indexed.degrees`` when the form carries them and counted per edge
     otherwise."""
     n, sources = indexed.n, indexed.sources
-    m = sum(map(len, sources))
     internal = sum(len(src) for src, silent in zip(sources, indexed.internal()) if silent)
     if indexed.degrees is None:
         deg_out, deg_in = [0] * n, [0] * n
@@ -72,6 +71,14 @@ def indexed_record(indexed: Indexed) -> MetricsRecord:
             deg_in[dst] += 1
     else:
         deg_out, deg_in = indexed.degrees
+    return degree_record(internal, deg_out, deg_in)
+
+
+def degree_record(internal: int, deg_out: list[int], deg_in: list[int]) -> MetricsRecord:
+    """``metrics_record`` of a graph given by its internal transition count
+    and its states' out- and in-degrees; the out-degrees sum to its
+    transition count."""
+    n, m = len(deg_out), sum(deg_out)
     return MetricsRecord(
         states=n,
         transitions=m,

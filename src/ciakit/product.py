@@ -29,7 +29,9 @@ list of sources and a list of targets per label, in one of two ways:
   reached states in discovery order, so the unreachable part is never built.
 
 Either way the result is ``reachable(compose(...))`` up to numbering, and the
-experiment pipeline and the fold refine that indexed form as it is.
+fold refines that indexed form as it is.  The experiment pipeline refines it
+too, unless the product is whole and its components' silent SCCs at least
+halve its states: then it refines the product of those (``cells``).
 Composite states are named with tuple tokens ``(q1,q2,...)`` only when an
 ``Automaton`` is returned.
 """
@@ -122,12 +124,8 @@ class _Product:
             raise ValidationError(f"io sets mention unknown actions {sorted(stray)!r}")
 
         self.components = components
-        self.names = [a.sorted_states() for a in components]
+        self._number([a.sorted_states() for a in components])
         self.index = [{state: i for i, state in enumerate(names)} for names in self.names]
-        self.strides = [1] * len(components)
-        for i in range(len(components) - 2, -1, -1):
-            self.strides[i] = self.strides[i + 1] * len(self.names[i + 1])
-        self.size = self.strides[0] * len(self.names[0])
         if self.size > sys.maxsize:  # a whole product numbers them in one list
             raise ValidationError(f"the product has {self.size} states, too many to number")
         self.labels: list[Label] = []
@@ -136,13 +134,15 @@ class _Product:
         # and per action the halves of a sync move, (row, code delta) to send
         # and (receiver annotation, code delta) to receive; a sender's row
         # maps receiver annotations to sync label ids
-        self.solo, self.sends, self.receives = [], [], []
+        # and per component its internal moves as (local state, code delta)
+        self.solo, self.sends, self.receives, self.internal = [], [], [], []
         # per component and action: each sender annotation's row, the receivers
         senders, receivers = [], []
         for a, names, index, stride in zip(components, self.names, self.index, self.strides):
             solo: list[list[tuple[int, int]]] = [[] for _ in names]
             sends: list[dict[str, list]] = [{} for _ in names]
             receives: list[dict[str, list]] = [{} for _ in names]
+            internal: list[tuple[int, int]] = []
             rows: dict[str, dict[str, dict[str, int]]] = {}
             heard: dict[str, set[str]] = {}
             for source, label, target in a.transitions:
@@ -158,6 +158,8 @@ class _Product:
                     receives[src].setdefault(action, []).append((label.dst, delta))
                     if action not in io.required:
                         continue
+                else:
+                    internal.append((src, delta))
                 lid = label_id.setdefault((label.src, action, label.dst), len(self.labels))
                 if lid == len(self.labels):
                     self.labels.append(label)
@@ -165,6 +167,7 @@ class _Product:
             self.solo.append(solo)
             self.sends.append(sends)
             self.receives.append(receives)
+            self.internal.append(internal)
             senders.append(rows)
             receivers.append(heard)
         self.syncs_from = len(self.labels)  # the first sync label's id
@@ -175,6 +178,15 @@ class _Product:
                     for n2 in sorted(heard[action]):
                         row[n2] = len(self.labels)
                         self.labels.append(Label(n1, action, n2))
+
+    def _number(self, names: Sequence[Sequence]) -> None:
+        """Take ``names`` as the components' local states, with the strides
+        and the size they give."""
+        self.names = names
+        self.strides = [1] * len(names)
+        for i in range(len(names) - 2, -1, -1):
+            self.strides[i] = self.strides[i + 1] * len(names[i + 1])
+        self.size = self.strides[0] * len(names[0])
 
     def initial_codes(self) -> list[int]:
         local = [
@@ -223,7 +235,7 @@ class _Product:
 
         A solo move of component ``i`` from ``s`` fires at every code whose
         digit ``i`` is ``s`` (``with_digit[s]``), and a sync at every code
-        whose sender's and receiver's digits are fixed; ``cells`` lists those
+        whose sender's and receiver's digits are fixed; ``spread`` lists those
         codes as slices of one list, so the source and target lists share its
         int objects and no move is emitted state by state.  A state's
         out-degree is the sum over its digits of that local state's solo
@@ -236,8 +248,8 @@ class _Product:
         targets: list[list[int]] = [[] for _ in self.labels]
         deg_out, deg_in = [0], [0]
         for i, (solo, stride) in enumerate(zip(self.solo, self.strides)):
-            cells = self._cells(states, {i})
-            with_digit = [cells((s * stride,)) for s in range(len(solo))]
+            spread = self._spread(states, {i})
+            with_digit = [spread((s * stride,)) for s in range(len(solo))]
             out_count = [len(moves) for moves in solo]
             in_count = [0] * len(solo)
             for s, moves in enumerate(solo):
@@ -249,7 +261,7 @@ class _Product:
             deg_out = [a + b for a in deg_out for b in out_count]
             deg_in = [a + b for a in deg_in for b in in_count]
         for i1, i2 in permutations(range(len(self.names)), 2):
-            cells = self._cells(states, {i1, i2})
+            spread = self._spread(states, {i1, i2})
             stride1, stride2 = self.strides[i1], self.strides[i2]
             # per action and receiver annotation: the receiver's digit before
             # and after each of its receiving halves, times its stride
@@ -263,11 +275,11 @@ class _Product:
             for s1, outputs in enumerate(self.sends[i1]):
                 for action, halves in outputs.items():
                     for n2, (at, to) in heard.get(action, {}).items():
-                        sent = cells(map((s1 * stride1).__add__, at))
+                        sent = spread(map((s1 * stride1).__add__, at))
                         for row, out_delta in halves:
                             lid = row[n2]
                             sources[lid] += sent
-                            targets[lid] += cells(map((s1 * stride1 + out_delta).__add__, to))
+                            targets[lid] += spread(map((s1 * stride1 + out_delta).__add__, to))
         for lid in range(self.syncs_from, len(self.labels)):
             for code in sources[lid]:
                 deg_out[code] += 1
@@ -275,8 +287,8 @@ class _Product:
                 deg_in[code] += 1
         return Indexed(self.size, self.labels, sources, targets, (deg_out, deg_in))
 
-    def _cells(
-        self, states: list[int], fixed: set[int]
+    def _spread(
+        self, states: Sequence[int], fixed: set[int]
     ) -> Callable[[Iterable[int]], list[int]]:
         """A function from base codes to the codes that agree with one of
         them on the digits of the components in ``fixed`` (whose other
@@ -304,14 +316,14 @@ class _Product:
             offsets = [o + j * other for o in offsets for j in range(n)]
         span = step * count
 
-        def cells(bases: Iterable[int]) -> list[int]:
+        def spread(bases: Iterable[int]) -> list[int]:
             found: list[int] = []
             for base in bases:
                 for o in offsets:
                     found += states[base + o : base + o + span : step]
             return found
 
-        return cells
+        return spread
 
     def explore(self) -> tuple[Indexed, list[int]]:
         """Every product state reachable from the initial states, numbered in

@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import logging
+import tracemalloc
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ciakit import (
     CiaError,
@@ -31,7 +36,10 @@ from ciakit.experiment import (
     rows_to_csv,
 )
 from ciakit.cli import main
+from ciakit import cells
+from ciakit.cells import refinable_product
 from ciakit.product import resolve_io
+from ciakit.refine import refine_indexed
 from conftest import aut, handshake_pair, nested_document, python_output
 
 # small seeded pairs with internal labels and synchronization cliques
@@ -39,6 +47,48 @@ MANUAL_PAIRS = generate_corpus(
     GenParams(state_count_range=(3, 8), kind_mix=(0.35, 0.35, 0.3), clique_bias=0.4, seed=4),
     24,
 )
+
+
+def manual_row(pair_id, first, second, io_policy, strict):
+    """The row ``run_pair`` must give, from the public pipeline on the named
+    composite: ``compose``, ``reachable``, ``partition_refine``, ``quotient``
+    and ``metrics_record``, with the work units of the refinement."""
+    io_sets = resolve_io(io_policy, [first, second])
+    composite = reachable(compose([first, second], io_sets))
+    pre = metrics_record(composite)
+    stats = RefineStats()
+    partition = partition_refine(composite, strict_internal=strict, stats=stats)
+    post = metrics_record(quotient(composite, partition))
+    return ExperimentRow(
+        pair_id=pair_id,
+        states_a=len(first.states),
+        states_b=len(second.states),
+        states=pre.states,
+        transitions=pre.transitions,
+        internal=pre.internal_transitions,
+        beta=pre.beta,
+        gini_in=pre.gini_in,
+        gini_out=pre.gini_out,
+        refined_states=post.states,
+        success=1 if post.states < pre.states else 0,
+        reduction_ratio=1.0 - post.states / pre.states,
+        internal_removed_ratio=(
+            1.0 - post.internal_transitions / pre.internal_transitions
+            if pre.internal_transitions
+            else 0.0
+        ),
+        elapsed_ms=stats.work_units(),
+        over_5min=0,
+        timed_out=0,
+    )
+
+
+@contextmanager
+def cell_path():
+    """Counts the products ``run_pair`` condenses into cells; the mock
+    calls the real ``cells.condensed``."""
+    with mock.patch.object(cells, "condensed", side_effect=cells.condensed) as condensed:
+        yield condensed
 
 
 class TestRunPair:
@@ -71,34 +121,7 @@ class TestRunPair:
     def test_matches_manual_pipeline(self, io_policy, strict):
         rows = []
         for i, (first, second) in enumerate(MANUAL_PAIRS):
-            io_sets = resolve_io(io_policy, [first, second])
-            composite = reachable(compose([first, second], io_sets))
-            pre = metrics_record(composite)
-            stats = RefineStats()
-            partition = partition_refine(composite, strict_internal=strict, stats=stats)
-            post = metrics_record(quotient(composite, partition))
-            expected = ExperimentRow(
-                pair_id=f"m{i}",
-                states_a=len(first.states),
-                states_b=len(second.states),
-                states=pre.states,
-                transitions=pre.transitions,
-                internal=pre.internal_transitions,
-                beta=pre.beta,
-                gini_in=pre.gini_in,
-                gini_out=pre.gini_out,
-                refined_states=post.states,
-                success=1 if post.states < pre.states else 0,
-                reduction_ratio=1.0 - post.states / pre.states,
-                internal_removed_ratio=(
-                    1.0 - post.internal_transitions / pre.internal_transitions
-                    if pre.internal_transitions
-                    else 0.0
-                ),
-                elapsed_ms=stats.work_units(),
-                over_5min=0,
-                timed_out=0,
-            )
+            expected = manual_row(f"m{i}", first, second, io_policy, strict)
             row = run_pair(
                 f"m{i}", first, second, io_policy,
                 deterministic_timing=True, strict_internal=strict,
@@ -153,6 +176,74 @@ def test_experiment_pinned_output(tmp_path):
             assert all(row.status == "ok" for row in rows)
             digest.update(rows_to_csv(rows).encode())
     assert digest.hexdigest() == EXPERIMENT_SHA256
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    clique_bias=st.floats(0.5, 0.9),
+    sides=st.tuples(st.integers(3, 9), st.integers(3, 9)).map(sorted),
+)
+def test_cell_path_matches_manual_pipeline(strict, seed, clique_bias, sides):
+    """Pairs whose components have silent cycles: when ``run_pair`` refines
+    the product of their cells instead of the product of their states, the
+    row is still the manual pipeline's.  Only pairs that take the cell path
+    count as examples."""
+    params = GenParams(state_count_range=tuple(sides), clique_bias=clique_bias, seed=seed)
+    first, second = generate_corpus(params, 1)[0]
+    with cell_path() as condensed:
+        row = run_pair("c", first, second, "open", deterministic_timing=True,
+                       strict_internal=strict)
+    assume(condensed.call_count == 1)  # no cells, or too few merged to halve the product
+    assert row == manual_row("c", first, second, "open", strict)
+
+
+def test_strict_row_keeps_the_internal_loops_of_a_cell():
+    """A's states a0 and a1 form one cell through two different internal
+    labels, x and y, so the cell keeps an x loop and a y loop.  Under strict
+    internal matching a2, which moves to the cell by x or by y, is then
+    weakly bisimilar to it; without those loops the cell would enable no
+    label and stand apart from a2."""
+    a = aut("A", ("A",), ["a0", "a1", "a2"], [
+        ("a0", ("A", "x", "A"), "a1"), ("a1", ("A", "y", "A"), "a0"),
+        ("a2", ("A", "x", "A"), "a0"), ("a2", ("A", "y", "A"), "a0"),
+    ], ["a2"])
+    b = aut("B", ("B",), ["b0", "b1"],
+            [("b0", ("B", "u", "B"), "b1"), ("b1", ("B", "u", "B"), "b0")], ["b0"])
+    with cell_path() as condensed:
+        row = run_pair("loops", a, b, "open", deterministic_timing=True, strict_internal=True)
+    assert condensed.call_count == 1
+    assert row == manual_row("loops", a, b, "open", True)
+    assert (row.states, row.refined_states) == (6, 1)
+    form, tally = refinable_product([a, b], resolve_io("open", [a, b]))
+    assert (form.n, tally is None) == (2, False)
+    internal = form.internal()
+    kept = [[(s, d) for s, d in zip(src, dst) if s != d or not internal[lid]]
+            for lid, (src, dst) in enumerate(zip(form.sources, form.targets))]
+    loopless = form._replace(sources=[[s for s, _ in e] for e in kept],
+                             targets=[[d for _, d in e] for e in kept], degrees=None)
+    assert refine_indexed(form, strict_internal=True)[1] == 1
+    assert refine_indexed(loopless, strict_internal=True)[1] == 2
+
+
+def test_scale_pair_row_and_memory():
+    """The 36,218-state product of the seed-11 pair of 150..200 states a side:
+    its row is pinned, and refining its cells instead of its states keeps
+    ``run_pair``'s traced peak under 8 MB (about 20 MB when every state and
+    edge of the product is built)."""
+    first, second = generate_corpus(GenParams(state_count_range=(150, 200), seed=11), 1)[0]
+    tracemalloc.start()
+    try:
+        row = run_pair("scale", first, second, deterministic_timing=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (row.states, row.transitions, row.refined_states, row.elapsed_ms) == (
+        36_218, 509_888, 11, 69
+    )
+    assert (row.gini_in, row.gini_out) == (0.1678751024705332, 0.19513782802223759)
+    assert peak < 8 * 2**20
 
 
 class TestRunExperiment:

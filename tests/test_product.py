@@ -1,8 +1,11 @@
 """The product explorer: complete from every state, and seeded with the
 initial states it gives reachable(compose).  The whole product: built when
 every component reaches all its states alone, equal to the explored one up
-to numbering, and with the degrees its edges give."""
+to numbering, and with the degrees its edges give.  The product of cells:
+exactly the distinct cell images of the whole product's moves, with the
+whole product's degrees counted from the tables."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -10,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciakit import Automaton, Hierarchy, IoSets, Label, compose, default_io_sets, reachable
+from ciakit.cells import condensed, silent_cells, tally
 from ciakit.metrics import indexed_record, metrics_record
 from ciakit.product import _LIST_SLOTS, _Product, reachable_product
+from ciakit.refine import _silent_sccs
 from conftest import aut
 from oracles import compose_oracle
 
@@ -111,6 +116,62 @@ def test_whole_product_equals_explored_product(k, data, closed, cycle):
             deg_in[d] += 1
     assert whole.degrees == (deg_out, deg_in)
     assert indexed_record(whole) == indexed_record(explored) == expected
+
+
+def scc_cells(prod):
+    """Each component's silent SCCs, as a cell number per local state."""
+    cells = []
+    for names, index, a in zip(prod.names, prod.index, prod.components):
+        succs = [[] for _ in names]
+        for source, label, target in a.transitions:
+            if label.src is not None and label.dst is not None:
+                succs[index[source]].append(index[target])
+        cells.append(_silent_sccs(succs)[0])
+    return cells
+
+
+def partition_of(cell):
+    return {frozenset(s for s, c in enumerate(cell) if c == d) for d in set(cell)}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data(), closed=st.booleans())
+def test_cell_product_holds_the_distinct_cell_images(k, data, closed):
+    """Condensing each component by its silent SCCs gives a product whose
+    moves are exactly the distinct cell images of the whole product's moves,
+    each once, internal self-loops included; ``tally`` gives the whole
+    product's internal count and degrees without its edges; ``silent_cells``
+    returns the SCCs exactly when they halve the product.  A component drawn
+    with ``cycle`` is one cell."""
+    components = [data.draw(component(i, data.draw(st.booleans()))) for i in range(k)]
+    io = IoSets.closed() if closed else default_io_sets(components)
+    prod = _Product(components, io)
+    cells = scc_cells(prod)
+    counts = [max(cell) + 1 for cell in cells]
+    found = silent_cells(prod)
+    assert (found is None) == (2 * math.prod(counts) > prod.size)
+    if found is not None:
+        assert list(map(partition_of, found)) == list(map(partition_of, cells))
+    whole = prod.whole()
+    cell_prod = condensed(prod, cells)
+    assert cell_prod.size == math.prod(counts)
+    cell_form = cell_prod.whole()
+
+    def image(code):
+        return sum(
+            cell[code // stride % len(names)] * to
+            for cell, stride, names, to in zip(cells, prod.strides, prod.names, cell_prod.strides)
+        )
+
+    for src, dst, cell_src, cell_dst in zip(
+        whole.sources, whole.targets, cell_form.sources, cell_form.targets
+    ):
+        moves = list(zip(cell_src, cell_dst))
+        assert len(moves) == len(set(moves))
+        assert set(moves) == {(image(s), image(d)) for s, d in zip(src, dst)}
+    internal = sum(len(src) for src, silent in zip(whole.sources, whole.internal()) if silent)
+    assert tally(prod) == (internal, *whole.degrees)
 
 
 def sender_receiver():
