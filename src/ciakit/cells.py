@@ -128,25 +128,15 @@ def tally(prod: _Product) -> tuple[int, list[int], list[int]]:
         internal += len(moves) * (prod.size // len(solo))
     for i1, i2 in permutations(range(len(prod.names)), 2):
         spread = prod._spread(codes, {i1, i2})
-        stride1, stride2 = prod.strides[i1], prod.strides[i2]
-        # per action: the receiver's digit before and after each of its
-        # receiving halves, times its stride
-        heard: dict[str, tuple[list[int], list[int]]] = {}
-        for s2, inputs in enumerate(prod.receives[i2]):
-            for action, halves in inputs.items():
-                at, to = heard.setdefault(action, ([], []))
-                for _, delta in halves:
-                    at.append(s2 * stride2)
-                    to.append(s2 * stride2 + delta)
+        stride1, heard = prod.strides[i1], prod.heard(i2)
         for s1, outputs in enumerate(prod.sends[i1]):
-            for action in outputs.keys() & heard.keys():
-                at, to = heard[action]
-                halves = outputs[action]
-                sent = spread(map((s1 * stride1).__add__, at))
-                internal += len(sent) * len(halves)
-                for code in sent:
-                    deg_out[code] += len(halves)
-                for _, delta in halves:
-                    for code in spread(map((s1 * stride1 + delta).__add__, to)):
-                        deg_in[code] += 1
+            for action, halves in outputs.items():
+                for at, to in heard.get(action, {}).values():
+                    sent = spread(map((s1 * stride1).__add__, at))
+                    internal += len(sent) * len(halves)
+                    for code in sent:
+                        deg_out[code] += len(halves)
+                    for _, delta in halves:
+                        for code in spread(map((s1 * stride1 + delta).__add__, to)):
+                            deg_in[code] += 1
     return internal, deg_out, deg_in

@@ -59,10 +59,10 @@ from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, get_args, get_type_hints
 
+from .cells import refinable_product
 from .core import Automaton
 from .errors import CiaError, RefinementTimeout
 from .fmt import parse_automata
-from .cells import refinable_product
 from .metrics import MetricsRecord, degree_record, indexed_record
 from .product import IoSets, resolve_io
 from .refine import RefineStats, quotient_triples, refine_indexed

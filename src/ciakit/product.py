@@ -262,16 +262,7 @@ class _Product:
             deg_in = [a + b for a in deg_in for b in in_count]
         for i1, i2 in permutations(range(len(self.names)), 2):
             spread = self._spread(states, {i1, i2})
-            stride1, stride2 = self.strides[i1], self.strides[i2]
-            # per action and receiver annotation: the receiver's digit before
-            # and after each of its receiving halves, times its stride
-            heard: dict[str, dict[str, tuple[list[int], list[int]]]] = {}
-            for s2, inputs in enumerate(self.receives[i2]):
-                for action, halves in inputs.items():
-                    for n2, delta in halves:
-                        at, to = heard.setdefault(action, {}).setdefault(n2, ([], []))
-                        at.append(s2 * stride2)
-                        to.append(s2 * stride2 + delta)
+            stride1, heard = self.strides[i1], self.heard(i2)
             for s1, outputs in enumerate(self.sends[i1]):
                 for action, halves in outputs.items():
                     for n2, (at, to) in heard.get(action, {}).items():
@@ -286,6 +277,19 @@ class _Product:
             for code in targets[lid]:
                 deg_in[code] += 1
         return Indexed(self.size, self.labels, sources, targets, (deg_out, deg_in))
+
+    def heard(self, i: int) -> dict[str, dict[str, tuple[list[int], list[int]]]]:
+        """Per action and receiver annotation, component ``i``'s digit before
+        and after each of its receiving halves, times its stride."""
+        stride = self.strides[i]
+        heard: dict[str, dict[str, tuple[list[int], list[int]]]] = {}
+        for s, inputs in enumerate(self.receives[i]):
+            for action, halves in inputs.items():
+                for n2, delta in halves:
+                    at, to = heard.setdefault(action, {}).setdefault(n2, ([], []))
+                    at.append(s * stride)
+                    to.append(s * stride + delta)
+        return heard
 
     def _spread(
         self, states: Sequence[int], fixed: set[int]

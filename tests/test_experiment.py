@@ -235,10 +235,12 @@ def test_scale_pair_row_and_memory():
     first, second = generate_corpus(GenParams(state_count_range=(150, 200), seed=11), 1)[0]
     tracemalloc.start()
     try:
-        row = run_pair("scale", first, second, deterministic_timing=True)
+        with cell_path() as condensed:
+            row = run_pair("scale", first, second, deterministic_timing=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert condensed.call_count == 1
     assert (row.states, row.transitions, row.refined_states, row.elapsed_ms) == (
         36_218, 509_888, 11, 69
     )
