@@ -37,20 +37,28 @@ def refinable_product(
     components: Sequence[Automaton], io: IoSets
 ) -> tuple[Indexed, tuple[int, list[int], list[int]] | None]:
     """A form whose weak-bisimulation classes are the reachable product's,
-    and the product's ``tally`` when that form is not the product itself.
+    and, when the product is whole, its ``tally`` (else None).
 
     When the product is whole and its components' cells at least halve its
     states, the form is the whole product of the cells.  Otherwise it is
-    ``product.reachable_product``'s form, degrees included, and the tally is
-    None.
+    ``product.reachable_product``'s form; a whole one's tally adds one count
+    per sync edge to ``_Product.solo_tally``.
     """
     prod = _Product(components, io)
     if not prod.reaches_all():
         return prod.explore()[0], None
     cells = silent_cells(prod)
-    if cells is None:
-        return prod.whole(), None
-    return condensed(prod, cells).whole(), tally(prod)
+    if cells is not None:
+        return condensed(prod, cells).whole(), tally(prod)
+    whole = prod.whole()
+    internal, deg_out, deg_in = prod.solo_tally()
+    for lid in range(prod.syncs_from, len(prod.labels)):  # every sync label is internal
+        internal += len(whole.sources[lid])
+        for code in whole.sources[lid]:
+            deg_out[code] += 1
+        for code in whole.targets[lid]:
+            deg_in[code] += 1
+    return whole, (internal, deg_out, deg_in)
 
 
 def silent_cells(prod: _Product) -> list[Sequence[int]] | None:
@@ -123,23 +131,12 @@ def condensed(prod: _Product, cells: list[Sequence[int]]) -> _Product:
 
 def tally(prod: _Product) -> tuple[int, list[int], list[int]]:
     """The whole product's internal transition count and each state's out-
-    and in-degree, with no edge built: ``_Product.whole``'s per-digit sums,
-    and each sync move counted at the source and target codes ``whole``
-    would emit it between."""
-    codes = range(prod.size)
-    deg_out, deg_in = [0], [0]
-    internal = 0
-    for solo, stride, moves in zip(prod.solo, prod.strides, prod.internal):
-        out_count = [len(local) for local in solo]
-        in_count = [0] * len(solo)
-        for s, local in enumerate(solo):
-            for _, delta in local:
-                in_count[s + delta // stride] += 1
-        deg_out = [a + b for a in deg_out for b in out_count]
-        deg_in = [a + b for a in deg_in for b in in_count]
-        internal += len(moves) * (prod.size // len(solo))
+    and in-degree, with no edge built: ``_Product.solo_tally``, and each
+    sync move counted at the source and target codes ``whole`` would emit
+    it between."""
+    internal, deg_out, deg_in = prod.solo_tally()
     for i1, i2 in permutations(range(len(prod.names)), 2):
-        spread = prod._spread(codes, {i1, i2})
+        spread = prod._spread(range(prod.size), {i1, i2})
         stride1, heard = prod.strides[i1], prod.heard(i2)
         for s1, outputs in enumerate(prod.sends[i1]):
             for action, halves in outputs.items():

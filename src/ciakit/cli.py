@@ -86,14 +86,20 @@ _METRICS_COLUMNS = ["name", "states", "transitions", "internal", "beta", "gini_i
 
 def _parse_states_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return (int(lo), int(hi or lo))
+    try:
+        return (int(lo), int(hi or lo))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers MIN..MAX, got {text!r}") from None
 
 
 def _parse_mix(text: str) -> tuple[float, float, float]:
-    parts = tuple(float(p) for p in text.split(","))
-    if len(parts) != 3:
-        raise ValueError("expected three comma-separated proportions")
-    return parts
+    try:
+        a, b, c = map(float, text.split(","))
+    except ValueError:  # argparse names the function for any error but this type's
+        raise argparse.ArgumentTypeError(
+            f"expected three comma-separated proportions, got {text!r}"
+        ) from None
+    return a, b, c
 
 
 def _cmd_parse(args) -> int:

@@ -248,16 +248,13 @@ class Indexed(NamedTuple):
     ``targets[lid][j]``; ``zip(sources[lid], targets[lid])`` reads its pairs.
     No transition occurs twice.  Composition, metrics and refinement work on
     this form; state names are made or read only where an ``Automaton`` is
-    built or taken apart.  ``degrees`` is ``(out, in)``, each state's out- and
-    in-degree, when whoever built the form knew them without counting edges
-    (a whole product, summed per digit); ``None`` means count them.
+    built or taken apart.
     """
 
     n: int
     labels: list[Label]
     sources: list[list[int]]
     targets: list[list[int]]
-    degrees: tuple[list[int], list[int]] | None = None
 
     @classmethod
     def of(cls, automaton: Automaton) -> tuple["Indexed", list[str]]:

@@ -11,9 +11,9 @@ pair the pipeline runs, on one integer-indexed form (``core.Indexed``):
    product's edges are never built.  Otherwise it is the whole product, or
    the product explored from the initial states; no composite state is
    named;
-3. structural metrics of the reachable composite: read from that form, or
-   for a product of cells from the components' tables
-   (``cells.tally``: state count, internal count, degrees);
+3. structural metrics of the reachable composite: for a whole product the
+   tally ``refinable_product`` returns (state count, internal count,
+   degrees), for an explored one counted from its edges;
 4. timed refinement of the form (``refine.refine_indexed``).  A cell lies
    inside one silent SCC of the product and the product of cells holds the
    distinct cell images of the product's edges, so its SCC DAG, saturated
@@ -186,7 +186,6 @@ def run_pair(
     io_sets = resolve_io(io_policy, [first, second])
     composite, tally = refinable_product([first, second], io_sets)
     pre = indexed_record(composite) if tally is None else degree_record(*tally)
-    composite = composite._replace(degrees=None)  # only the metrics read them
     stats = RefineStats()
     try:
         block, refined = refine_indexed(composite, timeout, strict_internal, stats)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Automaton, Hierarchy, Label, Transition
+from .core import Automaton, Hierarchy, Label, Transition, _check_word
 from .errors import FormatError, ValidationError
 
 _HIER_TOKEN_RE = re.compile(r"\(|\)|[A-Za-z0-9_]+")
@@ -133,7 +133,11 @@ def parse_automata(text: str) -> list[Automaton]:
         elif keyword == "initial":
             block.initial.extend(args)
         elif keyword == "actions":
-            block.actions.extend(args)
+            for word in list(re.finditer(r"\S+", body))[1:]:
+                try:
+                    block.actions.append(_check_word(word.group(), "action"))
+                except ValidationError as exc:
+                    raise FormatError(str(exc), lineno, word.start() + 1) from exc
         elif keyword == "trans":
             if len(args) != 3:
                 raise FormatError("expected: trans <id> (<src>,<action>,<dst>) <id>", lineno)

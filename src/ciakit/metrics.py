@@ -58,19 +58,14 @@ def metrics_record(automaton: Automaton) -> MetricsRecord:
 
 
 def indexed_record(indexed: Indexed) -> MetricsRecord:
-    """``metrics_record`` of an indexed automaton; the degrees are read from
-    ``indexed.degrees`` when the form carries them and counted per edge
-    otherwise."""
+    """``metrics_record`` of an indexed automaton, its degrees counted per edge."""
     n, sources = indexed.n, indexed.sources
     internal = sum(len(src) for src, silent in zip(sources, indexed.internal()) if silent)
-    if indexed.degrees is None:
-        deg_out, deg_in = [0] * n, [0] * n
-        for src in chain.from_iterable(sources):
-            deg_out[src] += 1
-        for dst in chain.from_iterable(indexed.targets):
-            deg_in[dst] += 1
-    else:
-        deg_out, deg_in = indexed.degrees
+    deg_out, deg_in = [0] * n, [0] * n
+    for src in chain.from_iterable(sources):
+        deg_out[src] += 1
+    for dst in chain.from_iterable(indexed.targets):
+        deg_in[dst] += 1
     return degree_record(internal, deg_out, deg_in)
 
 

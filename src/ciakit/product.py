@@ -20,11 +20,10 @@ list of sources and a list of targets per label, in one of two ways:
 
 * whole -- every product state, numbered by its code.  Each local move is
   emitted at once for all the codes it fires in, as slices of one list of
-  codes, and each state's degrees are sums over its digits.  ``compose``
-  always builds this.  So do ``reachable_product`` and each step of
-  ``compose_pairwise_reduce`` when every component reaches all its local
-  states from its initial ones by its own solo moves: the components can
-  then move one at a time into any product state.
+  codes.  ``compose`` always builds this.  So do ``reachable_product`` and
+  each step of ``compose_pairwise_reduce`` when every component reaches all
+  its local states from its initial ones by its own solo moves: the
+  components can then move one at a time into any product state.
 * explored -- otherwise a worklist from the initial states numbers the
   reached states in discovery order, so the unreachable part is never built.
 
@@ -230,36 +229,26 @@ class _Product:
         return True
 
     def whole(self) -> Indexed:
-        """Every product state, numbered by its code, with every move and
-        each state's degrees.
+        """Every product state, numbered by its code, with every move.
 
         A solo move of component ``i`` from ``s`` fires at every code whose
         digit ``i`` is ``s`` (``with_digit[s]``), and a sync at every code
         whose sender's and receiver's digits are fixed; ``spread`` lists those
         codes as slices of one list, so the source and target lists share its
-        int objects and no move is emitted state by state.  A state's
-        out-degree is the sum over its digits of that local state's solo
-        out-count, plus one per outgoing sync; in-degrees likewise.  The moves
-        are those ``explore`` would emit from every state, distinct for the
+        int objects and no move is emitted state by state.  The moves are
+        those ``explore`` would emit from every state, distinct for the
         reasons given there.
         """
         states = list(range(self.size))
         sources: list[list[int]] = [[] for _ in self.labels]
         targets: list[list[int]] = [[] for _ in self.labels]
-        deg_out, deg_in = [0], [0]
         for i, (solo, stride) in enumerate(zip(self.solo, self.strides)):
             spread = self._spread(states, {i})
             with_digit = [spread((s * stride,)) for s in range(len(solo))]
-            out_count = [len(moves) for moves in solo]
-            in_count = [0] * len(solo)
             for s, moves in enumerate(solo):
                 for lid, delta in moves:
-                    t = s + delta // stride
-                    in_count[t] += 1
                     sources[lid] += with_digit[s]
-                    targets[lid] += with_digit[t]
-            deg_out = [a + b for a in deg_out for b in out_count]
-            deg_in = [a + b for a in deg_in for b in in_count]
+                    targets[lid] += with_digit[s + delta // stride]
         for i1, i2 in permutations(range(len(self.names)), 2):
             spread = self._spread(states, {i1, i2})
             stride1, heard = self.strides[i1], self.heard(i2)
@@ -271,12 +260,23 @@ class _Product:
                             lid = row[n2]
                             sources[lid] += sent
                             targets[lid] += spread(map((s1 * stride1 + out_delta).__add__, to))
-        for lid in range(self.syncs_from, len(self.labels)):
-            for code in sources[lid]:
-                deg_out[code] += 1
-            for code in targets[lid]:
-                deg_in[code] += 1
-        return Indexed(self.size, self.labels, sources, targets, (deg_out, deg_in))
+        return Indexed(self.size, self.labels, sources, targets)
+
+    def solo_tally(self) -> tuple[int, list[int], list[int]]:
+        """The whole product's internal solo move count (a local move fires
+        in ``size / len(names[i])`` states) and each state's solo out- and
+        in-degree: the sum over its digits of that local state's move counts."""
+        internal, deg_out, deg_in = 0, [0], [0]
+        for solo, stride, moves in zip(self.solo, self.strides, self.internal):
+            out_count = [len(local) for local in solo]
+            in_count = [0] * len(solo)
+            for s, local in enumerate(solo):
+                for _, delta in local:
+                    in_count[s + delta // stride] += 1
+            deg_out = [a + b for a in deg_out for b in out_count]
+            deg_in = [a + b for a in deg_in for b in in_count]
+            internal += len(moves) * (self.size // len(solo))
+        return internal, deg_out, deg_in
 
     def heard(self, i: int) -> dict[str, dict[str, tuple[list[int], list[int]]]]:
         """Per action and receiver annotation, component ``i``'s digit before

@@ -510,10 +510,25 @@ def test_generate_writes_the_library_corpus(tmp_path, flags, params, disjoint):
 
 
 def test_generate_kind_mix_needs_three_parts(tmp_path, capsys):
+    for value in ["0.5,0.5", "0.5,x,0.5"]:
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "--pairs", "1", "--out", str(tmp_path), "--kind-mix", value])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert ("argument --kind-mix: expected three comma-separated proportions, "
+                f"got {value!r}") in stderr
+        assert "_parse" not in stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["5..x", "x", "..5"])
+def test_generate_states_needs_integers(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as err:
-        main(["generate", "--pairs", "1", "--out", str(tmp_path), "--kind-mix", "0.5,0.5"])
+        main(["generate", "--pairs", "1", "--out", str(tmp_path / "bad"), "--states", value])
     assert err.value.code == 1
-    assert "argument --kind-mix: invalid _parse_mix value: '0.5,0.5'" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert f"argument --states: expected integers MIN..MAX, got {value!r}" in stderr
+    assert "_parse" not in stderr
     assert not list(tmp_path.iterdir())
 
 

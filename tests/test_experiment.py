@@ -222,7 +222,7 @@ def test_strict_row_keeps_the_internal_loops_of_a_cell():
     kept = [[(s, d) for s, d in zip(src, dst) if s != d or not internal[lid]]
             for lid, (src, dst) in enumerate(zip(form.sources, form.targets))]
     loopless = form._replace(sources=[[s for s, _ in e] for e in kept],
-                             targets=[[d for _, d in e] for e in kept], degrees=None)
+                             targets=[[d for _, d in e] for e in kept])
     assert refine_indexed(form, strict_internal=True)[1] == 1
     assert refine_indexed(loopless, strict_internal=True)[1] == 2
 

@@ -196,6 +196,21 @@ def test_redeclared_hierarchy_keeps_earlier_label_actions():
     assert {t.label.render() for t in a.transitions} == {"(-,m,A)", "(-,n,A)"}
 
 
+@pytest.mark.parametrize("line, column", [
+    ("actions a-b", len("actions ") + 1),
+    ("actions  n\tm  a-b # x-y", len("actions  n\tm  ") + 1),
+], ids=["first-word", "third-word"])
+def test_bad_action_word_located_at_its_line(line, column):
+    """A bad ``actions`` word is reported where it stands, not at ``end``."""
+    doc = MINIMAL.replace("initial s0", f"initial s0\n{line}")
+    with pytest.raises(FormatError) as err:
+        parse_automaton(doc)
+    assert (err.value.line, err.value.column) == (5, column)
+    assert str(err.value) == (
+        f"line 5, col {column}: invalid action 'a-b': expected letters/digits/underscore"
+    )
+
+
 def test_actions_line_extends_alphabet():
     doc = MINIMAL.replace("initial s0", "initial s0\nactions n m")
     a = parse_automaton(doc)

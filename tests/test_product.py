@@ -1,9 +1,9 @@
 """The product explorer: complete from every state, and seeded with the
 initial states it gives reachable(compose).  The whole product: built when
-every component reaches all its states alone, equal to the explored one up
-to numbering, and with the degrees its edges give.  The product of cells:
-exactly the distinct cell images of the whole product's moves, with the
-whole product's degrees counted from the tables."""
+every component reaches all its states alone, and equal to the explored one
+up to numbering.  The product of cells: exactly the distinct cell images of
+the whole product's moves.  Whichever whole form is refined, its tally is
+the internal count and the degrees the whole product's edges give."""
 
 import math
 import tracemalloc
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciakit import Automaton, Hierarchy, IoSets, Label, compose, default_io_sets, reachable
-from ciakit.cells import condensed, silent_cells, tally
+from ciakit.cells import condensed, refinable_product, silent_cells, tally
 from ciakit.metrics import indexed_record, metrics_record
 from ciakit.product import _LIST_SLOTS, _Product, reachable_product
 from ciakit.refine import _silent_sccs
@@ -93,9 +93,8 @@ def edge_sets(indexed, codes):
 @given(data=st.data(), closed=st.booleans(), cycle=st.booleans())
 def test_whole_product_equals_explored_product(k, data, closed, cycle):
     """When every component reaches all its states alone, the whole product
-    is the explored one renumbered by code, with the degrees its edges give;
-    either way ``reachable_product`` has the metrics of
-    ``reachable(compose(...))``."""
+    is the explored one renumbered by code; either way ``reachable_product``
+    has the metrics of ``reachable(compose(...))``."""
     components = [data.draw(component(i, cycle)) for i in range(k)]
     io = IoSets.closed() if closed else default_io_sets(components)
     prod = _Product(components, io)
@@ -109,13 +108,41 @@ def test_whole_product_equals_explored_product(k, data, closed, cycle):
     explored, codes = prod.explore()
     assert whole.n == explored.n == prod.size
     assert edge_sets(whole, range(prod.size)) == edge_sets(explored, codes)
-    deg_out, deg_in = [0] * whole.n, [0] * whole.n
-    for src, dst in zip(whole.sources, whole.targets):
+    assert indexed_record(whole) == indexed_record(explored) == expected
+
+
+def edge_tally(indexed):
+    """The internal transition count and each state's out- and in-degree,
+    counted from the form's own edges."""
+    deg_out, deg_in = [0] * indexed.n, [0] * indexed.n
+    for src, dst in zip(indexed.sources, indexed.targets):
         for s, d in zip(src, dst):
             deg_out[s] += 1
             deg_in[d] += 1
-    assert whole.degrees == (deg_out, deg_in)
-    assert indexed_record(whole) == indexed_record(explored) == expected
+    internal = sum(len(src) for src, silent in zip(indexed.sources, indexed.internal()) if silent)
+    return internal, deg_out, deg_in
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data(), closed=st.booleans())
+def test_tally_counts_the_whole_products_edges(k, data, closed):
+    """For a whole product, the tally ``refinable_product`` returns with the
+    form it refines, the product itself or its cells' product, is the
+    internal count and the degrees of ``whole()``'s own edges, and so is
+    ``tally``; an explored product comes with no tally."""
+    components = [data.draw(component(i, data.draw(st.booleans()))) for i in range(k)]
+    io = IoSets.closed() if closed else default_io_sets(components)
+    prod = _Product(components, io)
+    form, found = refinable_product(components, io)
+    if not prod.reaches_all():
+        assert found is None
+        return
+    cells = silent_cells(prod)
+    assert form.n == (prod.size if cells is None else math.prod(max(c) + 1 for c in cells))
+    expected = edge_tally(prod.whole())
+    assert found == expected
+    assert tally(prod) == expected
 
 
 def scc_cells(prod):
@@ -170,8 +197,7 @@ def test_cell_product_holds_the_distinct_cell_images(k, data, closed):
         moves = list(zip(cell_src, cell_dst))
         assert len(moves) == len(set(moves))
         assert set(moves) == {(image(s), image(d)) for s, d in zip(src, dst)}
-    internal = sum(len(src) for src, silent in zip(whole.sources, whole.internal()) if silent)
-    assert tally(prod) == (internal, *whole.degrees)
+    assert tally(prod) == edge_tally(whole)
 
 
 def sender_receiver():
@@ -193,7 +219,6 @@ def test_a_state_reached_only_with_a_partner_takes_the_explorer(provided, states
     prod = _Product(components, io)
     assert not prod.reaches_all()
     indexed, codes = prod.reachable()
-    assert indexed.degrees is None
     expected = reachable(compose(components, io))
     assert prod.automaton(indexed, list(map(prod.token, codes))) == expected
     assert len(expected.states) == states < prod.size
@@ -236,4 +261,3 @@ def test_explorer_memory_follows_the_reached_states():
         tracemalloc.stop()
     assert indexed.n == 3 * 10 * 2**9
     assert peak < 20 * 2**20
-    assert indexed.degrees is None
