@@ -1,64 +1,68 @@
-"""Refining a whole product on its components' silent cells.
+"""The form of a pair's product that the experiment pipeline refines.
+
+``refinable_product`` picks one of three forms, each with the metrics of
+the reachable product (``metrics.MetricsRecord``), by this rule:
+
+* explored -- when some component does not reach all its local states from
+  its initial ones by its own allowed solo moves (``_Product.reaches_all``),
+  ``_Product.explore`` numbers the states reached from the initial ones.
+  The metrics are counted from its edges (``metrics.indexed_record``).
+* cell product -- otherwise the product is whole; when its components'
+  cells at least halve its states (``silent_cells``), the form is the whole
+  product of the cells (``condensed``).  The metrics are the whole
+  product's, summed from the move tables by ``_Product.tally`` over
+  ``_Product.syncs``, so none of the product's edges is built.
+* whole state product -- otherwise ``_Product.whole``.  The metrics are
+  ``_Product.tally`` over the sync columns it built.
+
+Refinement gives the reachable product's blocks, work units and silent SCC
+count on every form; the one counter that differs is
+``RefineStats.largest_scc``, which counts cells on the cell product
+(``run_pair`` does not read it).
 
 A component's cells are its silent SCCs: the classes of its states that
 reach each other by its own internal moves.  In a product those moves are
 never gated, so a combination of cells, one per component, lies inside one
 silent SCC of the product, and all its states are weakly bisimilar.
-
 ``condensed`` merges each component's cells into single local states, each
 keeping the distinct images of its states' moves, internal self-loops
 included (``strict_internal`` matching needs them, so ``refine.quotient``,
 which drops them, cannot build this).  The whole product of the cells then
 holds exactly the distinct cell images of the whole product's moves.  Its
 silent SCC DAG, saturated rows and signature rounds are the product's up to
-numbering, so ``refine_indexed`` gives it the product's block count, work
-units and SCC count, and a block of it, constant on a cell, keeps the
-product's internal transitions.  Only ``RefineStats.largest_scc`` counts
-cells instead of states.
-
-``refinable_product`` takes this path when the product is whole and the
-cells at least halve its states; ``tally`` then gives the product's metrics
-from the move tables, so none of its edges is built.
+numbering, so ``refine_indexed`` gives it the product's counts, and a block
+of it, constant on a cell, keeps the product's internal transitions.
 """
 
 from __future__ import annotations
 
 import math
 from copy import copy
-from itertools import permutations
 from typing import Sequence
 
 from .core import Automaton, Indexed
+from .metrics import MetricsRecord, degree_record, indexed_record
 from .product import IoSets, _Product
 from .refine import _silent_sccs
 
 
 def refinable_product(
     components: Sequence[Automaton], io: IoSets
-) -> tuple[Indexed, tuple[int, list[int], list[int]] | None]:
-    """A form whose weak-bisimulation classes are the reachable product's,
-    and, when the product is whole, its ``tally`` (else None).
-
-    When the product is whole and its components' cells at least halve its
-    states, the form is the whole product of the cells.  Otherwise it is
-    ``product.reachable_product``'s form; a whole one's tally adds one count
-    per sync edge to ``_Product.solo_tally``.
-    """
+) -> tuple[Indexed, MetricsRecord]:
+    """The form to refine, whose weak-bisimulation classes are the
+    reachable product's, and the reachable product's metrics, by the rule
+    of the module docstring."""
     prod = _Product(components, io)
     if not prod.reaches_all():
-        return prod.explore()[0], None
+        form = prod.explore()[0]
+        return form, indexed_record(form)
     cells = silent_cells(prod)
     if cells is not None:
-        return condensed(prod, cells).whole(), tally(prod)
+        syncs = ((sent, received) for _, sent, received in prod.syncs(range(prod.size)))
+        return condensed(prod, cells).whole(), degree_record(*prod.tally(syncs))
     whole = prod.whole()
-    internal, deg_out, deg_in = prod.solo_tally()
-    for lid in range(prod.syncs_from, len(prod.labels)):  # every sync label is internal
-        internal += len(whole.sources[lid])
-        for code in whole.sources[lid]:
-            deg_out[code] += 1
-        for code in whole.targets[lid]:
-            deg_in[code] += 1
-    return whole, (internal, deg_out, deg_in)
+    syncs = zip(whole.sources[prod.syncs_from :], whole.targets[prod.syncs_from :])
+    return whole, degree_record(*prod.tally(syncs))
 
 
 def silent_cells(prod: _Product) -> list[Sequence[int]] | None:
@@ -95,7 +99,13 @@ def condensed(prod: _Product, cells: list[Sequence[int]]) -> _Product:
     """``prod`` with component ``i``'s local state ``s`` merged into cell
     ``cells[i][s]``: a cell's solo moves, sending halves and receiving
     halves are the distinct images of its states'.  Labels and their ids are
-    shared."""
+    shared.
+
+    Only ``whole()`` and the move tables of the result are meaningful:
+    ``index``, ``initial_codes()``, ``token()`` and ``explore()`` still read
+    the components' own states, so ``explore()`` starts from the wrong codes
+    and raises ``IndexError`` when one is past ``size`` (the initial states
+    would have to be mapped to their cells first)."""
     cp = copy(prod)
     cp._number([range(max(cell) + 1) for cell in cells])
     cp.solo, cp.sends, cp.receives = [], [], []
@@ -127,25 +137,3 @@ def condensed(prod: _Product, cells: list[Sequence[int]]) -> _Product:
             {action: list(halves) for action, halves in inputs.items()} for inputs in receives
         ])
     return cp
-
-
-def tally(prod: _Product) -> tuple[int, list[int], list[int]]:
-    """The whole product's internal transition count and each state's out-
-    and in-degree, with no edge built: ``_Product.solo_tally``, and each
-    sync move counted at the source and target codes ``whole`` would emit
-    it between."""
-    internal, deg_out, deg_in = prod.solo_tally()
-    for i1, i2 in permutations(range(len(prod.names)), 2):
-        spread = prod._spread(range(prod.size), {i1, i2})
-        stride1, heard = prod.strides[i1], prod.heard(i2)
-        for s1, outputs in enumerate(prod.sends[i1]):
-            for action, halves in outputs.items():
-                for at, to in heard.get(action, {}).values():
-                    sent = spread(map((s1 * stride1).__add__, at))
-                    internal += len(sent) * len(halves)
-                    for code in sent:
-                        deg_out[code] += len(halves)
-                    for _, delta in halves:
-                        for code in spread(map((s1 * stride1 + delta).__add__, to)):
-                            deg_in[code] += 1
-    return internal, deg_out, deg_in

@@ -85,9 +85,9 @@ _METRICS_COLUMNS = ["name", "states", "transitions", "internal", "beta", "gini_i
 
 
 def _parse_states_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
+    lo, dots, hi = text.partition("..")  # only a text without ".." is a single count
     try:
-        return (int(lo), int(hi or lo))
+        return (int(lo), int(hi if dots else lo))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers MIN..MAX, got {text!r}") from None
 

@@ -4,26 +4,14 @@ Each ``.cia`` file in a corpus holds one pair (two automaton blocks).  Per
 pair the pipeline runs, on one integer-indexed form (``core.Indexed``):
 
 1. parse and validate both components, and resolve the io policy;
-2. the form to refine (``cells.refinable_product``).  When each component
-   reaches all its states alone, the reachable product is the whole
-   product; if the components' own silent SCCs (cells) then at least halve
-   its states, the form is the whole product of the cells, and the
-   product's edges are never built.  Otherwise it is the whole product, or
-   the product explored from the initial states; no composite state is
-   named;
-3. structural metrics of the reachable composite: for a whole product the
-   tally ``refinable_product`` returns (state count, internal count,
-   degrees), for an explored one counted from its edges;
-4. timed refinement of the form (``refine.refine_indexed``).  A cell lies
-   inside one silent SCC of the product and the product of cells holds the
-   distinct cell images of the product's edges, so its SCC DAG, saturated
-   rows and rounds are the product's up to numbering: blocks and work
-   units are equal;
-5. count the quotient's states and the internal transitions it keeps
+2. the form to refine and the reachable composite's structural metrics
+   (``cells.refinable_product``, whose docstring gives the three forms and
+   the rule that picks each); no composite state is named;
+3. timed refinement of the form (``refine.refine_indexed``);
+4. count the quotient's states and the internal transitions it keeps
    (``refine.quotient_triples``, the rule ``refine.quotient`` applies to
-   names, here over block ids and the internal labels' edges only; a block
-   is constant on a cell, so the cells' edges give the same set);
-6. one CSV row.
+   names, here over block ids and the internal labels' edges only);
+5. one CSV row.
 
 Row order follows sorted file names regardless of worker count.  Refinement
 is considered a success when it merged at least one pair of states.  A pair
@@ -34,17 +22,16 @@ had not finished becomes an error row; the rows already computed stay, in
 file order.
 
 Timing: ``elapsed_ms`` is the wall-clock time of refining the form of step
-4 by default, a float of milliseconds written as its exact ``repr``;
+3 by default, a float of milliseconds written as its exact ``repr``;
 composing, indexing and the quotient are not in it, and a product of cells
 refines faster than its product, so it reads lower than timing the public
 ``partition_refine`` on the composite would.  With ``deterministic_timing``
 it records the refinement work counter instead, an integer
 (``RefineStats.work_units()``: saturated label rows plus node signatures
 computed; past the first round, which signs every node, only nodes that
-still share a block count), the same for a product of cells as for its
-product, which makes repeated runs byte-identical.  The wall clock still
-decides ``over_5min`` (refinement past ``OVER_MS``) and enforces the
-timeout either way.
+still share a block count), the same on every form (``cells``), which makes
+repeated runs byte-identical.  The wall clock still decides ``over_5min``
+(refinement past ``OVER_MS``) and enforces the timeout either way.
 """
 
 from __future__ import annotations
@@ -63,7 +50,7 @@ from .cells import refinable_product
 from .core import Automaton
 from .errors import CiaError, RefinementTimeout
 from .fmt import parse_automata
-from .metrics import MetricsRecord, degree_record, indexed_record
+from .metrics import MetricsRecord
 from .product import IoSets, resolve_io
 from .refine import RefineStats, quotient_triples, refine_indexed
 
@@ -184,8 +171,7 @@ def run_pair(
 ) -> ExperimentRow:
     """Full pipeline on one pair of automata."""
     io_sets = resolve_io(io_policy, [first, second])
-    composite, tally = refinable_product([first, second], io_sets)
-    pre = indexed_record(composite) if tally is None else degree_record(*tally)
+    composite, pre = refinable_product([first, second], io_sets)
     stats = RefineStats()
     try:
         block, refined = refine_indexed(composite, timeout, strict_internal, stats)

@@ -20,17 +20,16 @@ list of sources and a list of targets per label, in one of two ways:
 
 * whole -- every product state, numbered by its code.  Each local move is
   emitted at once for all the codes it fires in, as slices of one list of
-  codes.  ``compose`` always builds this.  So do ``reachable_product`` and
-  each step of ``compose_pairwise_reduce`` when every component reaches all
-  its local states from its initial ones by its own solo moves: the
+  codes.  ``compose`` always builds this.  So does ``_Product.reachable``,
+  for each step of ``compose_pairwise_reduce``, when every component reaches
+  all its local states from its initial ones by its own solo moves: the
   components can then move one at a time into any product state.
 * explored -- otherwise a worklist from the initial states numbers the
   reached states in discovery order, so the unreachable part is never built.
 
 Either way the result is ``reachable(compose(...))`` up to numbering, and the
-fold refines that indexed form as it is.  The experiment pipeline refines it
-too, unless the product is whole and its components' silent SCCs at least
-halve its states: then it refines the product of those (``cells``).
+fold refines that indexed form as it is.  Which form the experiment pipeline
+refines, and where its metrics come from, is said once, in ``cells``.
 Composite states are named with tuple tokens ``(q1,q2,...)`` only when an
 ``Automaton`` is returned.
 """
@@ -41,7 +40,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Automaton, Hierarchy, Indexed, Label, LabelKind, Transition
 from .errors import ValidationError
@@ -249,6 +248,17 @@ class _Product:
                 for lid, delta in moves:
                     sources[lid] += with_digit[s]
                     targets[lid] += with_digit[s + delta // stride]
+        for lid, sent, received in self.syncs(states):
+            sources[lid] += sent
+            targets[lid] += received
+        return Indexed(self.size, self.labels, sources, targets)
+
+    def syncs(self, states: Sequence[int]) -> Iterator[tuple[int, list[int], list[int]]]:
+        """Each sync move of the whole product once, as its label id and the
+        codes it fires at and leads to, listed by ``_spread`` from
+        ``states``: per ordered pair of components, sender state, action
+        and receiver annotation, the codes whose two digits are fixed, once
+        for all the sender's halves."""
         for i1, i2 in permutations(range(len(self.names)), 2):
             spread = self._spread(states, {i1, i2})
             stride1, heard = self.strides[i1], self.heard(i2)
@@ -257,15 +267,17 @@ class _Product:
                     for n2, (at, to) in heard.get(action, {}).items():
                         sent = spread(map((s1 * stride1).__add__, at))
                         for row, out_delta in halves:
-                            lid = row[n2]
-                            sources[lid] += sent
-                            targets[lid] += spread(map((s1 * stride1 + out_delta).__add__, to))
-        return Indexed(self.size, self.labels, sources, targets)
+                            yield row[n2], sent, spread(map((s1 * stride1 + out_delta).__add__, to))
 
-    def solo_tally(self) -> tuple[int, list[int], list[int]]:
-        """The whole product's internal solo move count (a local move fires
-        in ``size / len(names[i])`` states) and each state's solo out- and
-        in-degree: the sum over its digits of that local state's move counts."""
+    def tally(
+        self, syncs: Iterable[tuple[Sequence[int], Sequence[int]]]
+    ) -> tuple[int, list[int], list[int]]:
+        """The whole product's internal transition count and each state's
+        out- and in-degree, with no solo edge built: a local move fires in
+        ``size / len(names[i])`` states, and a state's solo degree is the sum
+        over its digits of that local state's move counts.  Each sync edge
+        list, a ``(sources, targets)`` pair of codes, adds one count per edge
+        (every sync label is internal)."""
         internal, deg_out, deg_in = 0, [0], [0]
         for solo, stride, moves in zip(self.solo, self.strides, self.internal):
             out_count = [len(local) for local in solo]
@@ -276,6 +288,12 @@ class _Product:
             deg_out = [a + b for a in deg_out for b in out_count]
             deg_in = [a + b for a in deg_in for b in in_count]
             internal += len(moves) * (self.size // len(solo))
+        for sources, targets in syncs:
+            internal += len(sources)
+            for code in sources:
+                deg_out[code] += 1
+            for code in targets:
+                deg_in[code] += 1
         return internal, deg_out, deg_in
 
     def heard(self, i: int) -> dict[str, dict[str, tuple[list[int], list[int]]]]:
@@ -414,11 +432,6 @@ def compose(components: Sequence[Automaton], io: IoSets) -> Automaton:
     """N-ary product composition under the four transition classes."""
     prod = _Product(components, io)
     return prod.automaton(prod.whole(), list(map(prod.token, range(prod.size))))
-
-
-def reachable_product(components: Sequence[Automaton], io: IoSets) -> Indexed:
-    """The reachable composite as an indexed form; no state is named."""
-    return _Product(components, io).reachable()[0]
 
 
 def compose_pairwise_reduce(

@@ -120,10 +120,8 @@ class RefineStats:
     Structure: ``sccs`` is the number of silent SCCs (refinement's nodes),
     ``largest_scc`` the most states in one (the maximum over calls),
     ``shared`` the nodes that share a block after round 1 and ``blocks`` the
-    final block count.  Refining a product of cells
-    (``cells.refinable_product``) gives the product's counts except
-    ``largest_scc``, which then counts cells, not states; ``run_pair``
-    does not read it.  ``elapsed_s`` is the wall-clock time spent in
+    final block count.  ``cells`` says which count differs on the form
+    ``run_pair`` refines.  ``elapsed_s`` is the wall-clock time spent in
     ``refine_indexed``.
     """
 

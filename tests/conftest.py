@@ -43,6 +43,14 @@ def handshake_pair():
     return a, b
 
 
+def sender_receiver():
+    """A sends x once; B receives it once, so B's second state needs a
+    partner: a sync, or a solo input when x is in R."""
+    sender = aut("A", ("A",), ["a0", "a1"], [("a0", ("A", "x", None), "a1")])
+    receiver = aut("B", ("B",), ["b0", "b1"], [("b0", (None, "x", "B"), "b1")])
+    return [sender, receiver]
+
+
 def colliding_pair():
     """Two automata whose product states ``(a,b | c)`` and ``(a | b,c)`` share a token."""
     x = aut("X", ("A",), ["a,b", "a"], [("a", ("A", "m", None), "a,b")], ["a"])

@@ -498,7 +498,9 @@ def test_generate_needs_out_dir(capsys):
      GenParams(state_count_range=(6, 15), target_beta=1.5, alphabet_size=3,
                kind_mix=(0.3, 0.3, 0.4), clique_bias=0.45, pa_strength=0.7, seed=11,
                avoid_deadlocks=True), True),
-], ids=["defaults", "every-flag"])
+    # a text without ".." is a single count
+    (["--states", "5"], GenParams(state_count_range=(5, 5)), False),
+], ids=["defaults", "every-flag", "one-count"])
 def test_generate_writes_the_library_corpus(tmp_path, flags, params, disjoint):
     cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
     assert main(["generate", "--pairs", "4", "--out", str(cli_dir), *flags]) == 0
@@ -521,7 +523,20 @@ def test_generate_kind_mix_needs_three_parts(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("value", ["5..x", "x", "..5"])
+def test_generate_kind_mix_of_a_negative_part(tmp_path, capsys):
+    """A separate value that starts with "-" reads as an option, a usage
+    error; joined by "=" it reaches ``GenParams``' own check, a data error."""
+    with pytest.raises(SystemExit) as err:
+        main(["generate", "--pairs", "1", "--out", str(tmp_path), "--kind-mix", "-1,0,2"])
+    assert err.value.code == 1
+    assert "argument --kind-mix: expected one argument" in capsys.readouterr().err
+    assert main(["generate", "--pairs", "1", "--out", str(tmp_path), "--kind-mix=-1,0,2"]) == 2
+    assert ("kind_mix must be three non-negative proportions summing to 1"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["5..x", "x", "..5", "5..", ".."])
 def test_generate_states_needs_integers(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--pairs", "1", "--out", str(tmp_path / "bad"), "--states", value])

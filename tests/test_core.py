@@ -226,11 +226,11 @@ def test_reachable_properties(a):
 NUMBERING_SCRIPT = """
 import hashlib
 from ciakit import GenParams, generate_corpus
-from ciakit.product import default_io_sets, reachable_product
+from ciakit.product import _Product, default_io_sets
 from ciakit.refine import refine_indexed
 out = []
 for a, b in generate_corpus(GenParams(state_count_range=(4, 7), seed=3), 3):
-    indexed = reachable_product([a, b], default_io_sets([a, b]))
+    indexed = _Product([a, b], default_io_sets([a, b])).reachable()[0]
     out.append(([l.render() for l in indexed.labels], indexed.sources, indexed.targets,
                 refine_indexed(indexed)))
 print(hashlib.sha256(repr(out).encode()).hexdigest())

@@ -4,9 +4,7 @@ import logging
 import tracemalloc
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,11 +34,10 @@ from ciakit.experiment import (
     rows_to_csv,
 )
 from ciakit.cli import main
-from ciakit import cells
 from ciakit.cells import refinable_product
-from ciakit.product import resolve_io
+from ciakit.product import _Product, resolve_io
 from ciakit.refine import refine_indexed
-from conftest import aut, handshake_pair, nested_document, python_output
+from conftest import aut, handshake_pair, nested_document, python_output, sender_receiver
 
 # small seeded pairs with internal labels and synchronization cliques
 MANUAL_PAIRS = generate_corpus(
@@ -83,12 +80,26 @@ def manual_row(pair_id, first, second, io_policy, strict):
     )
 
 
-@contextmanager
-def cell_path():
-    """Counts the products ``run_pair`` condenses into cells; the mock
-    calls the real ``cells.condensed``."""
-    with mock.patch.object(cells, "condensed", side_effect=cells.condensed) as condensed:
-        yield condensed
+def takes_cell_path(first, second):
+    """Whether ``run_pair`` refines the product of the pair's cells under
+    open io.  Only that form has fewer states than ``pre.states``, which
+    counts the reachable composite: the cells' product has at most half of
+    them, and the other two forms have all of them."""
+    form, pre = refinable_product([first, second], resolve_io("open", [first, second]))
+    return form.n < pre.states
+
+
+def loops_pair():
+    """A's states a0 and a1 form one cell through two different internal
+    labels, x and y; a2 moves to the cell by x or by y.  B is one cell of
+    two states."""
+    a = aut("A", ("A",), ["a0", "a1", "a2"], [
+        ("a0", ("A", "x", "A"), "a1"), ("a1", ("A", "y", "A"), "a0"),
+        ("a2", ("A", "x", "A"), "a0"), ("a2", ("A", "y", "A"), "a0"),
+    ], ["a2"])
+    b = aut("B", ("B",), ["b0", "b1"],
+            [("b0", ("B", "u", "B"), "b1"), ("b1", ("B", "u", "B"), "b0")], ["b0"])
+    return [a, b]
 
 
 class TestRunPair:
@@ -192,32 +203,22 @@ def test_cell_path_matches_manual_pipeline(strict, seed, clique_bias, sides):
     count as examples."""
     params = GenParams(state_count_range=tuple(sides), clique_bias=clique_bias, seed=seed)
     first, second = generate_corpus(params, 1)[0]
-    with cell_path() as condensed:
-        row = run_pair("c", first, second, "open", deterministic_timing=True,
-                       strict_internal=strict)
-    assume(condensed.call_count == 1)  # no cells, or too few merged to halve the product
+    assume(takes_cell_path(first, second))  # no cells, or too few merged to halve the product
+    row = run_pair("c", first, second, "open", deterministic_timing=True, strict_internal=strict)
     assert row == manual_row("c", first, second, "open", strict)
 
 
 def test_strict_row_keeps_the_internal_loops_of_a_cell():
-    """A's states a0 and a1 form one cell through two different internal
-    labels, x and y, so the cell keeps an x loop and a y loop.  Under strict
-    internal matching a2, which moves to the cell by x or by y, is then
-    weakly bisimilar to it; without those loops the cell would enable no
-    label and stand apart from a2."""
-    a = aut("A", ("A",), ["a0", "a1", "a2"], [
-        ("a0", ("A", "x", "A"), "a1"), ("a1", ("A", "y", "A"), "a0"),
-        ("a2", ("A", "x", "A"), "a0"), ("a2", ("A", "y", "A"), "a0"),
-    ], ["a2"])
-    b = aut("B", ("B",), ["b0", "b1"],
-            [("b0", ("B", "u", "B"), "b1"), ("b1", ("B", "u", "B"), "b0")], ["b0"])
-    with cell_path() as condensed:
-        row = run_pair("loops", a, b, "open", deterministic_timing=True, strict_internal=True)
-    assert condensed.call_count == 1
+    """The cell {a0, a1} of the loops pair keeps an x loop and a y loop.
+    Under strict internal matching a2 is then weakly bisimilar to it;
+    without those loops the cell would enable no label and stand apart
+    from a2."""
+    a, b = loops_pair()
+    row = run_pair("loops", a, b, "open", deterministic_timing=True, strict_internal=True)
     assert row == manual_row("loops", a, b, "open", True)
     assert (row.states, row.refined_states) == (6, 1)
-    form, tally = refinable_product([a, b], resolve_io("open", [a, b]))
-    assert (form.n, tally is None) == (2, False)
+    form, pre = refinable_product([a, b], resolve_io("open", [a, b]))
+    assert (form.n, pre.states) == (2, 6)  # the cells' product
     internal = form.internal()
     kept = [[(s, d) for s, d in zip(src, dst) if s != d or not internal[lid]]
             for lid, (src, dst) in enumerate(zip(form.sources, form.targets))]
@@ -227,20 +228,41 @@ def test_strict_row_keeps_the_internal_loops_of_a_cell():
     assert refine_indexed(loopless, strict_internal=True)[1] == 2
 
 
+@pytest.mark.parametrize("kind, pair, io_policy", [
+    ("explored", sender_receiver, "closed"),
+    ("whole", sender_receiver, "open"),
+    ("cells", loops_pair, "open"),
+])
+def test_each_form_has_the_reachable_composites_metrics(kind, pair, io_policy):
+    """One hand-made pair per form ``refinable_product`` picks: under closed
+    io, a1 and b1 need the sync, so the product is explored; under open io
+    the same pair has no internal move, so its whole state product is
+    refined; the loops pair's cells halve its product.  Each form comes with
+    the metrics of the reachable composite."""
+    components = pair()
+    io = resolve_io(io_policy, components)
+    form, pre = refinable_product(components, io)
+    if not _Product(components, io).reaches_all():
+        found = "explored"
+    else:
+        found = "cells" if form.n < pre.states else "whole"
+    assert found == kind
+    assert pre == metrics_record(reachable(compose(components, io)))
+
+
 def test_scale_pair_row_and_memory():
     """The 36,218-state product of the seed-11 pair of 150..200 states a side:
     its row is pinned, and refining its cells instead of its states keeps
     ``run_pair``'s traced peak under 8 MB (about 20 MB when every state and
     edge of the product is built)."""
     first, second = generate_corpus(GenParams(state_count_range=(150, 200), seed=11), 1)[0]
+    assert takes_cell_path(first, second)
     tracemalloc.start()
     try:
-        with cell_path() as condensed:
-            row = run_pair("scale", first, second, deterministic_timing=True)
+        row = run_pair("scale", first, second, deterministic_timing=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert condensed.call_count == 1
     assert (row.states, row.transitions, row.refined_states, row.elapsed_ms) == (
         36_218, 509_888, 11, 69
     )

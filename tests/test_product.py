@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciakit import Automaton, Hierarchy, IoSets, Label, compose, default_io_sets, reachable
-from ciakit.cells import condensed, refinable_product, silent_cells, tally
-from ciakit.metrics import indexed_record, metrics_record
-from ciakit.product import _LIST_SLOTS, _Product, reachable_product
+from ciakit.cells import condensed, refinable_product, silent_cells
+from ciakit.metrics import degree_record, indexed_record, metrics_record
+from ciakit.product import _LIST_SLOTS, _Product
 from ciakit.refine import _silent_sccs
-from conftest import aut
+from conftest import aut, sender_receiver
 from oracles import compose_oracle
 
 ACTIONS = ("a", "b")
@@ -57,7 +57,7 @@ def test_exploring_from_initial_states_equals_reachable_compose(k, data, closed)
     prod = _Product(components, io)
     indexed, codes = prod.explore()
     assert prod.automaton(indexed, list(map(prod.token, codes))) == expected
-    assert indexed_record(reachable_product(components, io)) == metrics_record(expected)
+    assert indexed_record(prod.reachable()[0]) == metrics_record(expected)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -93,13 +93,13 @@ def edge_sets(indexed, codes):
 @given(data=st.data(), closed=st.booleans(), cycle=st.booleans())
 def test_whole_product_equals_explored_product(k, data, closed, cycle):
     """When every component reaches all its states alone, the whole product
-    is the explored one renumbered by code; either way ``reachable_product``
+    is the explored one renumbered by code; either way ``_Product.reachable``
     has the metrics of ``reachable(compose(...))``."""
     components = [data.draw(component(i, cycle)) for i in range(k)]
     io = IoSets.closed() if closed else default_io_sets(components)
     prod = _Product(components, io)
     expected = metrics_record(reachable(compose(components, io)))
-    assert indexed_record(reachable_product(components, io)) == expected
+    assert indexed_record(prod.reachable()[0]) == expected
     if cycle:
         assert prod.reaches_all()
     if not prod.reaches_all():
@@ -123,26 +123,35 @@ def edge_tally(indexed):
     return internal, deg_out, deg_in
 
 
+def listed_syncs(prod):
+    """The whole product's sync edge lists as ``_Product.syncs`` lists them."""
+    return ((src, dst) for _, src, dst in prod.syncs(range(prod.size)))
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(data=st.data(), closed=st.booleans())
 def test_tally_counts_the_whole_products_edges(k, data, closed):
-    """For a whole product, the tally ``refinable_product`` returns with the
-    form it refines, the product itself or its cells' product, is the
-    internal count and the degrees of ``whole()``'s own edges, and so is
-    ``tally``; an explored product comes with no tally."""
+    """For a whole product, ``_Product.tally`` is the internal count and the
+    degrees of ``whole()``'s own edges, fed either the sync columns
+    ``whole()`` built or the moves ``syncs`` lists.  ``refinable_product``'s
+    record is that tally's, on whichever form it refines, the product itself
+    or its cells' product; an explored product's is counted from its edges."""
     components = [data.draw(component(i, data.draw(st.booleans()))) for i in range(k)]
     io = IoSets.closed() if closed else default_io_sets(components)
     prod = _Product(components, io)
-    form, found = refinable_product(components, io)
+    form, record = refinable_product(components, io)
     if not prod.reaches_all():
-        assert found is None
+        assert record == indexed_record(form)
         return
     cells = silent_cells(prod)
     assert form.n == (prod.size if cells is None else math.prod(max(c) + 1 for c in cells))
-    expected = edge_tally(prod.whole())
-    assert found == expected
-    assert tally(prod) == expected
+    whole = prod.whole()
+    expected = edge_tally(whole)
+    built = zip(whole.sources[prod.syncs_from :], whole.targets[prod.syncs_from :])
+    assert prod.tally(built) == expected
+    assert prod.tally(listed_syncs(prod)) == expected
+    assert record == degree_record(*expected)
 
 
 def scc_cells(prod):
@@ -167,10 +176,10 @@ def partition_of(cell):
 def test_cell_product_holds_the_distinct_cell_images(k, data, closed):
     """Condensing each component by its silent SCCs gives a product whose
     moves are exactly the distinct cell images of the whole product's moves,
-    each once, internal self-loops included; ``tally`` gives the whole
-    product's internal count and degrees without its edges; ``silent_cells``
-    returns the SCCs exactly when they halve the product.  A component drawn
-    with ``cycle`` is one cell."""
+    each once, internal self-loops included; ``_Product.tally`` gives the
+    whole product's internal count and degrees without its edges;
+    ``silent_cells`` returns the SCCs exactly when they halve the product.
+    A component drawn with ``cycle`` is one cell."""
     components = [data.draw(component(i, data.draw(st.booleans()))) for i in range(k)]
     io = IoSets.closed() if closed else default_io_sets(components)
     prod = _Product(components, io)
@@ -197,15 +206,7 @@ def test_cell_product_holds_the_distinct_cell_images(k, data, closed):
         moves = list(zip(cell_src, cell_dst))
         assert len(moves) == len(set(moves))
         assert set(moves) == {(image(s), image(d)) for s, d in zip(src, dst)}
-    assert tally(prod) == edge_tally(whole)
-
-
-def sender_receiver():
-    """A sends x once; B receives it once, so B's second state needs a
-    partner: a sync, or a solo input when x is in R."""
-    sender = aut("A", ("A",), ["a0", "a1"], [("a0", ("A", "x", None), "a1")])
-    receiver = aut("B", ("B",), ["b0", "b1"], [("b0", (None, "x", "B"), "b1")])
-    return [sender, receiver]
+    assert prod.tally(listed_syncs(prod)) == edge_tally(whole)
 
 
 @pytest.mark.parametrize("provided, states", [((), 2), (("x",), 3)],
@@ -255,7 +256,7 @@ def test_explorer_memory_follows_the_reached_states():
     assert _Product(cells, io).size == 5**10 > _LIST_SLOTS
     tracemalloc.start()
     try:
-        indexed = reachable_product(cells, io)
+        indexed = _Product(cells, io).reachable()[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

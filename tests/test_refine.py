@@ -26,7 +26,7 @@ from ciakit import (
 from ciakit.core import Indexed
 from ciakit.generate import SplitMix64
 from ciakit.metrics import indexed_record
-from ciakit.product import reachable_product
+from ciakit.product import _Product
 from ciakit.refine import _silent_sccs, quotient_triples, refine_indexed
 from conftest import aut, handshake_pair, random_automaton
 from oracles import (
@@ -575,7 +575,7 @@ def label_numbering_cases():
     """Indexed forms of random automata and of reachable corpus products."""
     forms = [Indexed.of(random_automaton(seed, max_states=20))[0] for seed in range(40)]
     for first, second in generate_corpus(GenParams(state_count_range=(4, 12), seed=3), 10):
-        forms.append(reachable_product([first, second], default_io_sets([first, second])))
+        forms.append(_Product([first, second], default_io_sets([first, second])).reachable()[0])
     return forms
 
 
@@ -680,7 +680,7 @@ def test_referee_on_composites_past_the_oracle_bound(strict, seed, closed, data)
     """Generated pairs of 5..17 states a side: composites of up to 289 states."""
     pair = generate_corpus(GenParams(state_count_range=(5, 17), seed=seed), 1)[0]
     io = IoSets.closed() if closed else default_io_sets(pair)
-    composite = reachable_product(pair, io)
+    composite = _Product(pair, io).reachable()[0]
     block, count = refine_indexed(composite, strict_internal=strict)
     assert is_weak_bisimulation(composite, block, strict)
     if count > 1:
