@@ -98,19 +98,15 @@ def silent_cells(prod: _Product) -> list[Sequence[int]] | None:
 def condensed(prod: _Product, cells: list[Sequence[int]]) -> _Product:
     """``prod`` with component ``i``'s local state ``s`` merged into cell
     ``cells[i][s]``: a cell's solo moves, sending halves and receiving
-    halves are the distinct images of its states'.  Labels and their ids are
-    shared.
-
-    Only ``whole()`` and the move tables of the result are meaningful:
-    ``index``, ``initial_codes()``, ``token()`` and ``explore()`` still read
-    the components' own states, so ``explore()`` starts from the wrong codes
-    and raises ``IndexError`` when one is past ``size`` (the initial states
-    would have to be mapped to their cells first)."""
+    halves are the distinct images of its states' (solo moves and receiving
+    halves as the keys of the dicts that merged them).  Labels and their ids
+    are shared.  The result is a product of its own: its initial states are
+    the cells of the initial states, and cell ``c`` is named ``str(c)``."""
     cp = copy(prod)
-    cp._number([range(max(cell) + 1) for cell in cells])
-    cp.solo, cp.sends, cp.receives = [], [], []
-    for i, cell in enumerate(cells):
-        stride = prod.strides[i]
+    cp._number([list(map(str, range(max(cell) + 1))) for cell in cells])
+    cp.solo, cp.sends, cp.receives, cp.internal, cp.initial = [], [], [], [], []
+    silent = [None not in (label.src, label.dst) for label in prod.labels[: prod.syncs_from]]
+    for i, (cell, stride) in enumerate(zip(cells, prod.strides)):
         image = [c * cp.strides[i] for c in cell]  # each state's cell, times its stride
         solo: list[dict] = [{} for _ in cp.names[i]]
         sends: list[dict[str, dict]] = [{} for _ in cp.names[i]]
@@ -127,13 +123,15 @@ def condensed(prod: _Product, cells: list[Sequence[int]]) -> _Product:
                 merged = receives[c].setdefault(action, {})
                 for n2, delta in halves:
                     merged[n2, image[s + delta // stride] - at] = None
-        cp.solo.append([list(moves) for moves in solo])
+        cp.solo.append(solo)
         cp.sends.append([
             {action: [(row, d) for (_, d), row in halves.items()]
              for action, halves in outputs.items()}
             for outputs in sends
         ])
-        cp.receives.append([
-            {action: list(halves) for action, halves in inputs.items()} for inputs in receives
+        cp.receives.append(receives)
+        cp.internal.append([
+            (c, delta) for c, moves in enumerate(solo) for lid, delta in moves if silent[lid]
         ])
+        cp.initial.append(sorted({cell[s] for s in prod.initial[i]}))
     return cp

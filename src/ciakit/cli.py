@@ -23,10 +23,10 @@ from .dot import export_dot
 from .errors import CiaError
 from .experiment import (
     BUDGET_S,
+    CSV_COLUMNS,
     OVER_MS,
     reduction_report,
     rows_from_csv,
-    rows_to_csv,
     run_experiment,
     table_to_csv,
 )
@@ -133,13 +133,17 @@ def _cmd_refine(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    rows = [[a.name, *astuple(metrics_record(a))] for a in _read_automata(args.files)]
+def _emit_table(columns: list[str], records: list, args) -> None:
+    """The records as ``--format`` says: CSV, or a JSON list of objects keyed by ``columns``."""
     if args.format == "json":
-        records = [dict(zip(_METRICS_COLUMNS, row)) for row in rows]
-        _emit(json.dumps(records, indent=2) + "\n", args.out)
+        _emit(json.dumps([dict(zip(columns, r)) for r in records], indent=2) + "\n", args.out)
     else:
-        _emit(table_to_csv(_METRICS_COLUMNS, rows), args.out)
+        _emit(table_to_csv(columns, records), args.out)
+
+
+def _cmd_metrics(args) -> int:
+    records = [[a.name, *astuple(metrics_record(a))] for a in _read_automata(args.files)]
+    _emit_table(_METRICS_COLUMNS, records, args)
     return 0
 
 
@@ -167,10 +171,7 @@ def _cmd_experiment(args) -> int:
         deterministic_timing=args.deterministic_timing,
         strict_internal=args.strict_internal,
     )
-    if args.format == "json":
-        _emit(json.dumps([row.__dict__ for row in rows], indent=2) + "\n", args.out)
-    else:
-        _emit(rows_to_csv(rows), args.out)
+    _emit_table(CSV_COLUMNS, [[getattr(row, col) for col in CSV_COLUMNS] for row in rows], args)
     return 3 if any(row.timed_out for row in rows) else 0
 
 

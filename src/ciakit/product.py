@@ -121,9 +121,8 @@ class _Product:
         if stray:
             raise ValidationError(f"io sets mention unknown actions {sorted(stray)!r}")
 
-        self.components = components
+        self.name = "".join(a.name for a in components)
         self._number([a.sorted_states() for a in components])
-        self.index = [{state: i for i, state in enumerate(names)} for names in self.names]
         if self.size > sys.maxsize:  # a whole product numbers them in one list
             raise ValidationError(f"the product has {self.size} states, too many to number")
         self.labels: list[Label] = []
@@ -133,10 +132,12 @@ class _Product:
         # and (receiver annotation, code delta) to receive; a sender's row
         # maps receiver annotations to sync label ids
         # and per component its internal moves as (local state, code delta)
-        self.solo, self.sends, self.receives, self.internal = [], [], [], []
+        # and the sorted local numbers of its initial states
+        self.solo, self.sends, self.receives, self.internal, self.initial = [], [], [], [], []
         # per component and action: each sender annotation's row, the receivers
         senders, receivers = [], []
-        for a, names, index, stride in zip(components, self.names, self.index, self.strides):
+        for a, names, stride in zip(components, self.names, self.strides):
+            index = {state: i for i, state in enumerate(names)}
             solo: list[list[tuple[int, int]]] = [[] for _ in names]
             sends: list[dict[str, list]] = [{} for _ in names]
             receives: list[dict[str, list]] = [{} for _ in names]
@@ -166,6 +167,7 @@ class _Product:
             self.sends.append(sends)
             self.receives.append(receives)
             self.internal.append(internal)
+            self.initial.append(sorted(map(index.__getitem__, a.initial)))
             senders.append(rows)
             receivers.append(heard)
         self.syncs_from = len(self.labels)  # the first sync label's id
@@ -187,10 +189,7 @@ class _Product:
         self.size = self.strides[0] * len(names[0])
 
     def initial_codes(self) -> list[int]:
-        local = [
-            [index[state] * stride for state in sorted(a.initial)]
-            for a, index, stride in zip(self.components, self.index, self.strides)
-        ]
+        local = [[s * stride for s in init] for init, stride in zip(self.initial, self.strides)]
         return [sum(parts) for parts in product(*local)]
 
     def token(self, code: int) -> str:
@@ -213,8 +212,8 @@ class _Product:
         inputs in R).  Then every product state is reachable: the
         components can move there one at a time.  Costs O(component
         transitions); a state that only a sync reaches fails the check."""
-        for a, index, stride, solo in zip(self.components, self.index, self.strides, self.solo):
-            seen = {index[state] for state in a.initial}
+        for initial, stride, solo in zip(self.initial, self.strides, self.solo):
+            seen = set(initial)
             todo = list(seen)
             while todo:
                 s = todo.pop()
@@ -415,7 +414,7 @@ class _Product:
             clash = next(t for t, n in Counter(tokens).items() if n > 1)
             raise ValidationError(f"composite state token {clash!r} names two product states")
         return Automaton(
-            name="".join(a.name for a in self.components),
+            name=self.name,
             states=states,
             actions=self.actions,
             transitions=(

@@ -2,8 +2,9 @@
 initial states it gives reachable(compose).  The whole product: built when
 every component reaches all its states alone, and equal to the explored one
 up to numbering.  The product of cells: exactly the distinct cell images of
-the whole product's moves.  Whichever whole form is refined, its tally is
-the internal count and the degrees the whole product's edges give."""
+the whole and of the explored product's moves.  Whichever whole form is
+refined, its tally is the internal count and the degrees the whole
+product's edges give."""
 
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ from ciakit import Automaton, Hierarchy, IoSets, Label, compose, default_io_sets
 from ciakit.cells import condensed, refinable_product, silent_cells
 from ciakit.metrics import degree_record, indexed_record, metrics_record
 from ciakit.product import _LIST_SLOTS, _Product
-from ciakit.refine import _silent_sccs
+from ciakit.refine import RefineStats, _silent_sccs, refine_indexed
 from conftest import aut, sender_receiver
 from oracles import compose_oracle
 
@@ -154,11 +155,13 @@ def test_tally_counts_the_whole_products_edges(k, data, closed):
     assert record == degree_record(*expected)
 
 
-def scc_cells(prod):
-    """Each component's silent SCCs, as a cell number per local state."""
+def scc_cells(components, names):
+    """Each component's silent SCCs, as a cell number per local state, its
+    states numbered by their place in ``names``."""
     cells = []
-    for names, index, a in zip(prod.names, prod.index, prod.components):
-        succs = [[] for _ in names]
+    for local, a in zip(names, components):
+        index = {state: i for i, state in enumerate(local)}
+        succs = [[] for _ in local]
         for source, label, target in a.transitions:
             if label.src is not None and label.dst is not None:
                 succs[index[source]].append(index[target])
@@ -179,11 +182,18 @@ def test_cell_product_holds_the_distinct_cell_images(k, data, closed):
     each once, internal self-loops included; ``_Product.tally`` gives the
     whole product's internal count and degrees without its edges;
     ``silent_cells`` returns the SCCs exactly when they halve the product.
-    A component drawn with ``cycle`` is one cell."""
+    A component drawn with ``cycle`` is one cell.
+
+    The cell product is a product of its own: explored from the cells of
+    the initial states it reaches exactly the cell images of the reached
+    states and moves, it reaches all its cells alone exactly when the
+    product reaches all its states, its tally is its own edges', it has no
+    silent cells left, and refining it explored gives the explored
+    product's blocks, work units and silent SCCs in either semantics."""
     components = [data.draw(component(i, data.draw(st.booleans()))) for i in range(k)]
     io = IoSets.closed() if closed else default_io_sets(components)
     prod = _Product(components, io)
-    cells = scc_cells(prod)
+    cells = scc_cells(components, prod.names)
     counts = [max(cell) + 1 for cell in cells]
     found = silent_cells(prod)
     assert (found is None) == (2 * math.prod(counts) > prod.size)
@@ -207,6 +217,25 @@ def test_cell_product_holds_the_distinct_cell_images(k, data, closed):
         assert len(moves) == len(set(moves))
         assert set(moves) == {(image(s), image(d)) for s, d in zip(src, dst)}
     assert prod.tally(listed_syncs(prod)) == edge_tally(whole)
+
+    explored, codes = prod.explore()
+    cell_explored, cell_codes = cell_prod.explore()
+    assert sorted(cell_codes) == sorted(set(map(image, codes)))
+    cell_edges = edge_sets(cell_explored, cell_codes)
+    assert sum(map(len, cell_explored.sources)) == sum(map(len, cell_edges))
+    assert cell_edges == [
+        {(image(s), image(d)) for s, d in edges} for edges in edge_sets(explored, codes)
+    ]
+    assert cell_prod.reaches_all() == prod.reaches_all()
+    assert cell_prod.tally(listed_syncs(cell_prod)) == edge_tally(cell_form)
+    assert silent_cells(cell_prod) is None
+    for strict in (False, True):
+        stats, cell_stats = RefineStats(), RefineStats()
+        blocks = refine_indexed(explored, strict_internal=strict, stats=stats)[1]
+        cell_blocks = refine_indexed(cell_explored, strict_internal=strict, stats=cell_stats)[1]
+        assert cell_blocks == blocks
+        assert cell_stats.work_units() == stats.work_units()
+        assert cell_stats.sccs == stats.sccs
 
 
 @pytest.mark.parametrize("provided, states", [((), 2), (("x",), 3)],
