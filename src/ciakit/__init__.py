@@ -28,7 +28,7 @@ _EXPORTS = {
             "ValidationError",
         ),
         "experiment": ("ExperimentRow", "reduction_report", "run_experiment", "run_pair"),
-        "fmt": ("parse_automata", "parse_automaton", "parse_hierarchy", "serialize_automaton"),
+        "fmt": ("parse_automata", "parse_hierarchy", "serialize_automaton"),
         "generate": (
             "GenParams",
             "SplitMix64",

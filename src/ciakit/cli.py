@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .core import Automaton
@@ -142,7 +142,7 @@ def _emit_table(columns: list[str], records: list, args) -> None:
 
 
 def _cmd_metrics(args) -> int:
-    records = [[a.name, *astuple(metrics_record(a))] for a in _read_automata(args.files)]
+    records = [[a.name, *metrics_record(a)] for a in _read_automata(args.files)]
     _emit_table(_METRICS_COLUMNS, records, args)
     return 0
 
@@ -171,7 +171,7 @@ def _cmd_experiment(args) -> int:
         deterministic_timing=args.deterministic_timing,
         strict_internal=args.strict_internal,
     )
-    _emit_table(CSV_COLUMNS, [[getattr(row, col) for col in CSV_COLUMNS] for row in rows], args)
+    _emit_table(CSV_COLUMNS, rows, args)
     return 3 if any(row.timed_out for row in rows) else 0
 
 

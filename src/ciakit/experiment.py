@@ -40,11 +40,10 @@ import csv
 import io
 import logging
 import statistics
-from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterable, get_args, get_type_hints
+from typing import Iterable, NamedTuple, get_args, get_type_hints
 
 from .cells import refinable_product
 from .core import Automaton
@@ -60,9 +59,8 @@ BUDGET_S = 7200.0  # default refinement budget, two hours
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
-    """One corpus pair's pipeline outcome.
+class ExperimentRow(NamedTuple):
+    """One corpus pair's pipeline outcome, its fields the CSV row's cells in order.
 
     ``states``/``transitions``/``internal`` and the metrics describe the
     pruned composite; ``success`` is 1 iff refinement merged anything
@@ -89,7 +87,7 @@ class ExperimentRow:
     status: str = "ok"
 
 
-CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
+CSV_COLUMNS = list(ExperimentRow._fields)
 
 # each column's declared types: (str,), (int,), (float, NoneType), or (int, float)
 # for elapsed_ms, which holds work units or wall-clock ms
@@ -121,7 +119,7 @@ def table_to_csv(columns: list[str], records: Iterable[Iterable]) -> str:
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
-    return table_to_csv(CSV_COLUMNS, ([getattr(row, col) for col in CSV_COLUMNS] for row in rows))
+    return table_to_csv(CSV_COLUMNS, rows)
 
 
 def _read_cell(raw: str, types: tuple[type, ...]):
@@ -153,10 +151,15 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
             raise CiaError(
                 f"experiment CSV row {number} has {len(record[None])} cells more than the header"
             )
-        values = {}
+        values = []
         for col, types in _COLUMN_TYPES.items():
-            values[col] = _read_cell(record[col], types)
-        rows.append(ExperimentRow(**values))
+            try:
+                values.append(_read_cell(record[col], types))
+            except ValueError:
+                raise CiaError(
+                    f"experiment CSV row {number} has a bad {col!r} cell {record[col]!r}"
+                ) from None
+        rows.append(ExperimentRow._make(values))
     return rows
 
 

@@ -78,7 +78,7 @@ class _Block:
         self.line = line
         self.hierarchy: Hierarchy | None = None
         self.states: set[str] = set()
-        self.initial: list[str] = []
+        self.initial: dict[str, tuple[int, str]] = {}  # state -> (number, text) of its first line
         self.actions: list[str] = []
         self.labels: dict[str, Label] = {}  # tokens checked against ``hierarchy``
         self.transitions: list[Transition] = []
@@ -131,7 +131,8 @@ def parse_automata(text: str) -> list[Automaton]:
                     raise FormatError(f"duplicate state id {state!r}", lineno)
                 block.states.add(state)
         elif keyword == "initial":
-            block.initial.extend(args)
+            for state in args:
+                block.initial.setdefault(state, (lineno, body))
         elif keyword == "actions":
             for word in list(re.finditer(r"\S+", body))[1:]:
                 try:
@@ -158,6 +159,12 @@ def parse_automata(text: str) -> list[Automaton]:
         elif keyword == "end":
             if block.hierarchy is None:
                 raise FormatError(f"automaton {block.name!r} has no hierarchy", lineno)
+            # checked here, as a ``states`` line may follow ``initial``
+            for state, (line, words) in block.initial.items():
+                if state not in block.states:
+                    starts = [word.start() for word in re.finditer(r"\S+", words)]
+                    column = starts[words.split().index(state, 1)] + 1
+                    raise FormatError(f"initial state {state!r} not among states", line, column)
             try:
                 automata.append(
                     Automaton.make(
@@ -177,14 +184,6 @@ def parse_automata(text: str) -> list[Automaton]:
     if block is not None:
         raise FormatError(f"automaton {block.name!r} not closed with 'end'", block.line)
     return automata
-
-
-def parse_automaton(text: str) -> Automaton:
-    """Parse a document expected to hold exactly one automaton."""
-    automata = parse_automata(text)
-    if len(automata) != 1:
-        raise FormatError(f"expected exactly one automaton, found {len(automata)}")
-    return automata[0]
 
 
 def serialize_automaton(automaton: Automaton) -> str:

@@ -252,8 +252,10 @@ def generate_corpus(
 
 
 def write_corpus(pairs: Sequence[tuple[Automaton, Automaton]], out_dir: str | Path) -> list[Path]:
-    """Write one .cia file per pair (two blocks each), numbered in order."""
+    """Write one .cia file per pair (two blocks each), numbered in order, into a directory with none."""
     out = Path(out_dir)
+    if any(out.glob("*.cia")):
+        raise ValidationError(f"{out} already holds .cia pair files; write to a new or empty one")
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for i, (first, second) in enumerate(pairs):

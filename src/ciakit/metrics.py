@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Automaton, Indexed
 
@@ -42,8 +41,7 @@ def gini(values: Sequence[float]) -> float | None:
     return acc / (n * total)
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     states: int
     transitions: int
     internal_transitions: int

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import sys
@@ -19,7 +18,6 @@ from ciakit import (
     generate_primitive,
     metrics_record,
     parse_automata,
-    parse_automaton,
     reachable,
     run_experiment,
     serialize_automaton,
@@ -121,7 +119,8 @@ class TestComposeRefine:
     )
     def test_experiment_resolves_io_like_compose(self, pair_file, capsys, io_args):
         assert main(["compose", str(pair_file), *io_args]) == 0
-        composite = reachable(parse_automaton(capsys.readouterr().out))
+        [printed] = parse_automata(capsys.readouterr().out)
+        composite = reachable(printed)
         corpus = str(pair_file.parent)
         assert main(["experiment", "--corpus", corpus, "--format", "json", *io_args]) == 0
         row = json.loads(capsys.readouterr().out)[0]
@@ -139,7 +138,7 @@ class TestComposeRefine:
         # only C uses w: the first step (A with B) must not be given w
         path = _three_components(tmp_path, (None, "w", "C"))
         assert main(["compose", str(path), "--pairwise"]) == 0
-        folded = parse_automaton(capsys.readouterr().out)
+        [folded] = parse_automata(capsys.readouterr().out)
         components = parse_automata(path.read_text(encoding="utf-8"))
         io = default_io_sets(components)
         assert weak_bisim_oracle(folded, reachable(compose(components, io)))
@@ -149,9 +148,10 @@ class TestComposeRefine:
         path = _three_components(tmp_path, ("C", "w", None))
         args = ["compose", str(path), "--provided", "w"]
         assert main(args) == 0
-        nary = reachable(parse_automaton(capsys.readouterr().out))
+        [printed] = parse_automata(capsys.readouterr().out)
+        nary = reachable(printed)
         assert main([*args, "--pairwise"]) == 0
-        folded = parse_automaton(capsys.readouterr().out)
+        [folded] = parse_automata(capsys.readouterr().out)
         assert "(C,w,-)" in {t.label.render() for t in folded.transitions}
         assert weak_bisim_oracle(folded, nary)
 
@@ -388,13 +388,38 @@ class TestPipeline:
         csv_path = tmp_path / "rows.csv"
         _regress_csv(csv_path)
         rows = rows_from_csv(csv_path.read_text(encoding="utf-8"))
-        rows[3] = dataclasses.replace(rows[3], beta=float("nan"))
+        rows[3] = rows[3]._replace(beta=float("nan"))
         csv_path.write_text(rows_to_csv(rows), encoding="utf-8")
         assert main(["regress", "--csv", str(csv_path), "--x", "beta",
                      "--y", "success"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "xs must be finite" in captured.err
+
+    def test_regress_bad_cell_is_located(self, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
+        _regress_csv(csv_path)
+        table = list(csv.reader(csv_path.read_text(encoding="utf-8").splitlines()))
+        table[4][table[0].index("elapsed_ms")] = "x"
+        csv_path.write_text("\n".join(",".join(record) for record in table) + "\n")
+        assert main(["regress", "--csv", str(csv_path), "--x", "beta",
+                     "--y", "success"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ciakit: experiment CSV row 4 has a bad 'elapsed_ms' cell 'x'\n"
+
+    def test_generate_refuses_a_directory_holding_pair_files(self, tmp_path, capsys):
+        corpus = tmp_path / "gen"
+        assert main(["generate", "--out", str(corpus), "--pairs", "5", "--seed", "1"]) == 0
+        before = {path.name: path.read_bytes() for path in corpus.iterdir()}
+        capsys.readouterr()
+        assert main(["generate", "--out", str(corpus), "--pairs", "2", "--seed", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"ciakit: {corpus} already holds .cia pair files; write to a new or empty one\n"
+        )
+        assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
 
 
 # every option a subcommand's handler does not read is a usage error
@@ -553,7 +578,7 @@ REGRESS_OUTCOMES = [0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0]
 def _regress_row(i: int, **fields) -> ExperimentRow:
     """A hand-made ok row with ``beta = 1 + i/10``; ``fields`` override any column."""
     base = ExperimentRow("p", 2, 2, 4, 4, 0, 1.0, 0.0, 0.0, 4, 0, 0.0, 0.0, 0, 0, 0)
-    return dataclasses.replace(base, **{"pair_id": f"p{i}", "beta": 1.0 + i / 10, **fields})
+    return base._replace(**{"pair_id": f"p{i}", "beta": 1.0 + i / 10, **fields})
 
 
 def _five_minutes_ms(over: int) -> float:

@@ -15,7 +15,7 @@ from ciakit import (
     compose_pairwise_reduce,
     default_io_sets,
     generate_corpus,
-    parse_automaton,
+    parse_automata,
     partition_refine,
     quotient,
     reachable,
@@ -228,7 +228,7 @@ class TestPairwiseReduce:
         # parser's nesting bound does not reject the fold's document
         comps = [aut(f"C{i}", (f"C{i}",), ["s0", "s1"]) for i in range(101)]
         folded = compose_pairwise_reduce(comps, IoSets.closed())
-        assert parse_automaton(serialize_automaton(folded)) == folded
+        assert parse_automata(serialize_automaton(folded)) == [folded]
 
     def test_needs_two_components(self):
         with pytest.raises(ValidationError, match="^composition needs at least 2 components$"):

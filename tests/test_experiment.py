@@ -4,7 +4,6 @@ import logging
 import tracemalloc
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -139,7 +138,7 @@ class TestRunPair:
             )
             assert row == expected, f"pair {i}"
             wall = run_pair(f"m{i}", first, second, io_policy, strict_internal=strict)
-            assert replace(wall, elapsed_ms=row.elapsed_ms, over_5min=0) == expected
+            assert wall._replace(elapsed_ms=row.elapsed_ms, over_5min=0) == expected
             rows.append(row)
         # the corpus exercises merges and removed internal synchronizations
         assert any(row.success for row in rows)
@@ -493,14 +492,14 @@ class TestCsvRoundTrip:
         base = self.ROW
         rows = [
             base,
-            replace(base, pair_id='quoted, "pair"', elapsed_ms=0.1 + 0.2),
-            replace(base, beta=None, gini_in=None, gini_out=None),
-            replace(base, status="timeout", timed_out=1, refined_states=6, success=0,
-                    reduction_ratio=0.0, internal_removed_ratio=0.0, elapsed_ms=7.5),
-            replace(base, pair_id="NA", status="error", states_a=0, states_b=0, states=0,
-                    transitions=0, internal=0, beta=None, gini_in=None, gini_out=None,
-                    refined_states=0, success=0, reduction_ratio=0.0,
-                    internal_removed_ratio=0.0, elapsed_ms=0),
+            base._replace(pair_id='quoted, "pair"', elapsed_ms=0.1 + 0.2),
+            base._replace(beta=None, gini_in=None, gini_out=None),
+            base._replace(status="timeout", timed_out=1, refined_states=6, success=0,
+                          reduction_ratio=0.0, internal_removed_ratio=0.0, elapsed_ms=7.5),
+            base._replace(pair_id="NA", status="error", states_a=0, states_b=0, states=0,
+                          transitions=0, internal=0, beta=None, gini_in=None, gini_out=None,
+                          refined_states=0, success=0, reduction_ratio=0.0,
+                          internal_removed_ratio=0.0, elapsed_ms=0),
         ]
         text = rows_to_csv(rows)
         assert '"quoted, ""pair"""' in text
@@ -513,7 +512,8 @@ class TestCsvRoundTrip:
     def test_cell_of_the_wrong_type_rejected(self, column, cell):
         table = list(csv.reader(rows_to_csv([self.ROW]).splitlines()))
         table[1][table[0].index(column)] = cell
-        with pytest.raises(ValueError):
+        message = f"^experiment CSV row 1 has a bad '{column}' cell '{cell}'$"
+        with pytest.raises(CiaError, match=message):
             rows_from_csv("\n".join(",".join(record) for record in table) + "\n")
 
 

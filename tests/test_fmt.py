@@ -14,7 +14,6 @@ from ciakit import (
     generate_corpus,
     generate_primitive,
     parse_automata,
-    parse_automaton,
     parse_hierarchy,
     partition_refine,
     quotient,
@@ -34,7 +33,7 @@ end
 
 
 def test_parse_minimal():
-    a = parse_automaton(MINIMAL)
+    [a] = parse_automata(MINIMAL)
     assert a.name == "M"
     assert a.states == {"s0", "s1"}
     assert a.initial == {"s0"}
@@ -45,64 +44,64 @@ def test_parse_minimal():
 
 def test_comments_and_blank_lines():
     doc = "# top\n\nautomaton M # name\nhierarchy (A)\nstates s0\ninitial s0 # first\n\nend\n"
-    a = parse_automaton(doc)
+    [a] = parse_automata(doc)
     assert a.states == {"s0"}
 
 
 def test_two_absent_label_rejected():
     doc = MINIMAL.replace("(-,m,A)", "(-,m,-)")
     with pytest.raises(FormatError, match="two absent annotations"):
-        parse_automaton(doc)
+        parse_automata(doc)
 
 
 def test_hierarchy_disjointness_rejected():
     doc = "automaton M\nhierarchy ((A B)(B C))\nstates s0\ninitial s0\nend\n"
     with pytest.raises(FormatError, match="not disjoint"):
-        parse_automaton(doc)
+        parse_automata(doc)
 
 
 def test_duplicate_state_id_rejected():
     doc = "automaton M\nhierarchy (A)\nstates s0 s0\ninitial s0\nend\n"
     with pytest.raises(FormatError, match="duplicate state id"):
-        parse_automaton(doc)
+        parse_automata(doc)
     doc2 = "automaton M\nhierarchy (A)\nstates s0\nstates s0\ninitial s0\nend\n"
     with pytest.raises(FormatError, match="duplicate state id"):
-        parse_automaton(doc2)
+        parse_automata(doc2)
 
 
 def test_unknown_component_rejected():
     doc = MINIMAL.replace("(-,m,A)", "(-,m,B)")
     with pytest.raises(FormatError, match="unknown component name"):
-        parse_automaton(doc)
+        parse_automata(doc)
 
 
 def test_undeclared_transition_state_rejected():
     doc = MINIMAL.replace("trans s0 (-,m,A) s1", "trans s0 (-,m,A) s9")
     with pytest.raises(FormatError, match="undeclared state"):
-        parse_automaton(doc)
+        parse_automata(doc)
 
 
 def test_empty_initial_rejected():
     doc = "automaton M\nhierarchy (A)\nstates s0\nend\n"
     with pytest.raises(FormatError, match="initial set is empty"):
-        parse_automaton(doc)
+        parse_automata(doc)
 
 
 def test_missing_end_rejected():
     with pytest.raises(FormatError, match="not closed"):
-        parse_automaton("automaton M\nhierarchy (A)\nstates s0\ninitial s0\n")
+        parse_automata("automaton M\nhierarchy (A)\nstates s0\ninitial s0\n")
 
 
 def test_error_carries_line_number():
     doc = "automaton M\nhierarchy (A)\nstates s0 s1\ninitial s0\ntrans s0 (-,m,-) s1\nend\n"
     with pytest.raises(FormatError, match="line 5"):
-        parse_automaton(doc)
+        parse_automata(doc)
 
 
 def test_malformed_label():
     doc = MINIMAL.replace("(-,m,A)", "(-,m)")
     with pytest.raises(FormatError, match="malformed label"):
-        parse_automaton(doc)
+        parse_automata(doc)
 
 
 @pytest.mark.parametrize(
@@ -111,7 +110,7 @@ def test_malformed_label():
 def test_bad_label_located(token):
     doc = MINIMAL.replace("(-,m,A)", token)
     with pytest.raises(FormatError) as err:
-        parse_automaton(doc)
+        parse_automata(doc)
     assert (err.value.line, err.value.column) == (5, len("trans s0 ") + 1)
 
 
@@ -172,18 +171,19 @@ def test_structure_errors_located(doc, message, line, column):
 @pytest.mark.parametrize("token", ["(-,m)", "(-,m,B)"])
 def test_label_checked_after_its_endpoints(token):
     with pytest.raises(FormatError, match="line 5: undeclared state 's9' in transition"):
-        parse_automaton(MINIMAL.replace("trans s0 (-,m,A) s1", f"trans s0 {token} s9"))
+        parse_automata(MINIMAL.replace("trans s0 (-,m,A) s1", f"trans s0 {token} s9"))
 
 
 def test_label_checked_after_the_hierarchy():
     doc = "automaton M\nstates s0 s1\ninitial s0\ntrans s0 (-,m) s1\nend\n"
     with pytest.raises(FormatError, match="line 4: hierarchy must be declared before transitions"):
-        parse_automaton(doc)
+        parse_automata(doc)
 
 
 def test_repeated_label_token_is_one_object():
     doc = MINIMAL.replace("trans s0 (-,m,A) s1", "trans s0 (-,m,A) s1\ntrans s1 (-,m,A) s0")
-    first, second = parse_automaton(doc).transitions
+    [a] = parse_automata(doc)
+    first, second = a.transitions
     assert first.label is second.label
 
 
@@ -191,7 +191,7 @@ def test_redeclared_hierarchy_keeps_earlier_label_actions():
     doc = MINIMAL.replace("hierarchy (A)", "hierarchy (A B)").replace(
         "end", "hierarchy (A)\ntrans s1 (-,n,A) s0\nend"
     )
-    a = parse_automaton(doc)
+    [a] = parse_automata(doc)
     assert a.actions == {"m", "n"}
     assert {t.label.render() for t in a.transitions} == {"(-,m,A)", "(-,n,A)"}
 
@@ -204,24 +204,38 @@ def test_bad_action_word_located_at_its_line(line, column):
     """A bad ``actions`` word is reported where it stands, not at ``end``."""
     doc = MINIMAL.replace("initial s0", f"initial s0\n{line}")
     with pytest.raises(FormatError) as err:
-        parse_automaton(doc)
+        parse_automata(doc)
     assert (err.value.line, err.value.column) == (5, column)
     assert str(err.value) == (
         f"line 5, col {column}: invalid action 'a-b': expected letters/digits/underscore"
     )
 
 
+@pytest.mark.parametrize("line, column", [
+    ("initial s9", len("initial ") + 1),
+    ("initial  s0\ts9  s8 # s7", len("initial  s0\t") + 1),
+], ids=["first-word", "second-word"])
+def test_undeclared_initial_state_located_at_its_line(line, column):
+    """An undeclared initial state is reported where it is named, not at ``end``."""
+    doc = MINIMAL.replace("initial s0", line)
+    with pytest.raises(FormatError) as err:
+        parse_automata(doc)
+    assert (err.value.line, err.value.column) == (4, column)
+    assert str(err.value) == f"line 4, col {column}: initial state 's9' not among states"
+    # a states line may follow the initial line
+    [a] = parse_automata(doc.replace("trans", "states s9 s8\ntrans", 1))
+    assert a.initial == set(line.split("#")[0].split()[1:])
+
+
 def test_actions_line_extends_alphabet():
     doc = MINIMAL.replace("initial s0", "initial s0\nactions n m")
-    a = parse_automaton(doc)
+    [a] = parse_automata(doc)
     assert a.actions == {"m", "n"}
 
 
 def test_multiple_blocks():
     autos = parse_automata(MINIMAL + MINIMAL.replace("automaton M", "automaton N"))
     assert [x.name for x in autos] == ["M", "N"]
-    with pytest.raises(FormatError, match="exactly one"):
-        parse_automaton(MINIMAL + MINIMAL)
 
 
 def test_parse_hierarchy_shapes():
@@ -260,14 +274,15 @@ def test_tuple_state_tokens_round_trip():
         trans=[("(a0,b0)", ("B", "m", "A"), "(a1,b1)")],
         init=["(a0,b0)"],
     )
-    assert parse_automaton(serialize_automaton(a)) == a
+    assert parse_automata(serialize_automaton(a)) == [a]
 
 
 def test_round_trip_is_identity():
-    a = parse_automaton(MINIMAL)
+    [a] = parse_automata(MINIMAL)
     text = serialize_automaton(a)
-    assert parse_automaton(text) == a
-    assert serialize_automaton(parse_automaton(text)) == text
+    [parsed] = parse_automata(text)
+    assert parsed == a
+    assert serialize_automaton(parsed) == text
 
 
 def _generated(seed: int, form: str) -> Automaton:
@@ -293,5 +308,6 @@ def _generated(seed: int, form: str) -> Automaton:
 def test_round_trip_on_generated(seed, form):
     a = _generated(seed, form)
     text = serialize_automaton(a)
-    assert parse_automaton(text) == a
-    assert serialize_automaton(parse_automaton(text)) == text
+    [parsed] = parse_automata(text)
+    assert parsed == a
+    assert serialize_automaton(parsed) == text

@@ -290,6 +290,17 @@ class TestGenerateCorpus:
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
 
+    def test_refuses_a_directory_holding_pair_files(self, tmp_path):
+        params = GenParams(state_count_range=(3, 4), seed=5)
+        tmp_path.joinpath("notes.txt").write_text("kept", encoding="utf-8")  # not a pair file
+        written = write_corpus(generate_corpus(params, 3), tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(before) == sorted([path.name for path in written] + ["notes.txt"])
+        with pytest.raises(ValidationError) as err:
+            write_corpus(generate_corpus(GenParams(seed=6), 1), tmp_path)
+        assert str(err.value).startswith(f"{tmp_path} already holds .cia pair files")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValidationError):
             generate_corpus(GenParams(), 0)

@@ -21,7 +21,7 @@ PUBLIC = {
         "ValidationError",
     ],
     "experiment": ["ExperimentRow", "reduction_report", "run_experiment", "run_pair"],
-    "fmt": ["parse_automata", "parse_automaton", "parse_hierarchy", "serialize_automaton"],
+    "fmt": ["parse_automata", "parse_hierarchy", "serialize_automaton"],
     "generate": ["GenParams", "SplitMix64", "generate_corpus", "generate_primitive", "write_corpus"],
     "metrics": ["MetricsRecord", "gini", "metrics_record"],
     "refine": ["Partition", "RefineStats", "partition_refine", "quotient", "weak_bisim_relation"],
