@@ -36,7 +36,6 @@ of it, constant on a cell, keeps the product's internal transitions.
 
 from __future__ import annotations
 
-import math
 from copy import copy
 from typing import Sequence
 
@@ -68,19 +67,8 @@ def refinable_product(
 def silent_cells(prod: _Product) -> list[Sequence[int]] | None:
     """Each component's cells, as a cell number per local state, when the
     product of the cell counts is at most half the product's states; else
-    None.
-
-    A silent SCC of ``k > 1`` states holds at least ``k`` internal moves,
-    so a component's ``m`` internal moves merge at most ``m - 1`` of its
-    states away; no SCC is computed when these bounds rule halving out.  A
-    component with fewer than two internal moves has no silent cycle: each
-    state is its own cell."""
-    least = math.prod(
-        max(1, len(names) - max(len(internal) - 1, 0))
-        for names, internal in zip(prod.names, prod.internal)
-    )
-    if 2 * least > prod.size:
-        return None
+    None.  A component with fewer than two internal moves has no silent
+    cycle: each state is its own cell."""
     cells: list[Sequence[int]] = []
     count = 1
     for names, stride, internal in zip(prod.names, prod.strides, prod.internal):

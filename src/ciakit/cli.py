@@ -92,6 +92,17 @@ def _parse_states_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integers MIN..MAX, got {text!r}") from None
 
 
+def _parse_probability(text: str) -> float:
+    try:
+        if 0 < float(text) < 1:  # false for NaN
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a probability strictly between 0 and 1, got {text!r}"
+    )
+
+
 def _parse_mix(text: str) -> tuple[float, float, float]:
     try:
         a, b, c = map(float, text.split(","))
@@ -286,7 +297,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", required=True)
     p.add_argument("--x", required=True, choices=("beta", "states", "gini_in", "gini_out"))
     p.add_argument("--y", required=True, choices=("success", "over5min"))
-    p.add_argument("--cutoff", type=float, default=0.5)
+    p.add_argument("--cutoff", type=_parse_probability, default=0.5)
     p.add_argument("--over-ms", type=int, default=OVER_MS,
                    help="over5min means elapsed_ms above this, in the CSV's unit: ms, or "
                         "work units for a --deterministic-timing CSV (default %(default)s, "

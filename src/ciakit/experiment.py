@@ -49,7 +49,6 @@ from .cells import refinable_product
 from .core import Automaton
 from .errors import CiaError, RefinementTimeout
 from .fmt import parse_automata
-from .metrics import MetricsRecord
 from .product import IoSets, resolve_io
 from .refine import RefineStats, quotient_triples, refine_indexed
 
@@ -176,68 +175,38 @@ def run_pair(
     io_sets = resolve_io(io_policy, [first, second])
     composite, pre = refinable_product([first, second], io_sets)
     stats = RefineStats()
+    refined, removed, status = pre.states, 0.0, "ok"
     try:
         block, refined = refine_indexed(composite, timeout, strict_internal, stats)
-        internal = composite.internal()
-        # count the internal transitions the quotient keeps; the rest are not built
-        silent = chain.from_iterable(
-            zip(composite.sources[lid], repeat(lid), composite.targets[lid])
-            for lid in compress(range(len(internal)), internal)
-        )
-        left = len(quotient_triples(silent, block, internal))
-        status = "ok"
+        if pre.internal_transitions:
+            internal = composite.internal()
+            # count the internal transitions the quotient keeps; the rest are not built
+            silent = chain.from_iterable(
+                zip(composite.sources[lid], repeat(lid), composite.targets[lid])
+                for lid in compress(range(len(internal)), internal)
+            )
+            left = len(quotient_triples(silent, block, internal))
+            removed = 1.0 - left / pre.internal_transitions
     except RefinementTimeout:
-        status, refined, left = "timeout", None, 0
+        status = "timeout"
     wall_ms = stats.elapsed_s * 1000.0
-    elapsed = stats.work_units() if deterministic_timing else wall_ms
-    sizes = (len(first.states), len(second.states))
-    return _row(pair_id, status, sizes, pre, refined, left, elapsed, wall_ms > OVER_MS)
-
-
-_NO_METRICS = MetricsRecord(0, 0, 0, None, None, None)
-
-
-def _row(
-    pair_id: str,
-    status: str,
-    sizes: tuple[int, int] = (0, 0),
-    pre: MetricsRecord = _NO_METRICS,
-    refined: int | None = None,
-    internal_left: int = 0,
-    elapsed: int | float = 0,
-    over: bool = False,
-) -> ExperimentRow:
-    """A row from the pruned composite's metrics and the refinement outcome.
-
-    ``refined`` is the quotient's state count and ``internal_left`` its
-    internal transitions; without a quotient (timeout, error) the row reads
-    as no reduction.  ``over`` says whether refinement took longer than
-    ``OVER_MS`` of wall-clock time, whatever ``elapsed`` counts.
-    """
-    removed = 0.0
-    if refined is None:
-        refined = pre.states
-    elif pre.internal_transitions:
-        removed = 1.0 - internal_left / pre.internal_transitions
     return ExperimentRow(
-        pair_id=pair_id,
-        states_a=sizes[0],
-        states_b=sizes[1],
-        states=pre.states,
-        transitions=pre.transitions,
-        internal=pre.internal_transitions,
-        beta=pre.beta,
-        gini_in=pre.gini_in,
-        gini_out=pre.gini_out,
+        pair_id, len(first.states), len(second.states), *pre,  # pre: states .. gini_out
         refined_states=refined,
-        success=1 if refined < pre.states else 0,
+        success=int(refined < pre.states),
         reduction_ratio=1.0 - refined / pre.states if pre.states else 0.0,
         internal_removed_ratio=removed,
-        elapsed_ms=elapsed,
-        over_5min=1 if over else 0,
-        timed_out=1 if status == "timeout" else 0,
+        elapsed_ms=stats.work_units() if deterministic_timing else wall_ms,
+        over_5min=int(wall_ms > OVER_MS),  # wall-clock time, whatever elapsed_ms counts
+        timed_out=int(status == "timeout"),
         status=status,
     )
+
+
+def _error_row(pair_id: str) -> ExperimentRow:
+    """The row of a pair with no outcome: its file is unreadable or malformed,
+    its pipeline raised, or its worker died."""
+    return ExperimentRow(pair_id, 0, 0, 0, 0, 0, None, None, None, 0, 0, 0.0, 0.0, 0, 0, 0, "error")
 
 
 def _run_file(job: tuple[Path, str], **options) -> ExperimentRow:
@@ -249,10 +218,10 @@ def _run_file(job: tuple[Path, str], **options) -> ExperimentRow:
             raise CiaError(f"pair file must hold exactly 2 automata, found {len(automata)}")
         return run_pair(pair_id, automata[0], automata[1], **options)
     except (CiaError, OSError, UnicodeDecodeError):  # a malformed or unreadable pair file
-        return _row(pair_id, "error")
+        return _error_row(pair_id)
     except Exception:  # a bug hit by one pair must not end the whole run
         _log.exception("pair %s failed", pair_id)
-        return _row(pair_id, "error")
+        return _error_row(pair_id)
 
 
 def run_experiment(
@@ -295,10 +264,10 @@ def run_experiment(
                 rows.append(future.result())
             except BrokenProcessPool as exc:  # a worker died: its pairs and the queued ones
                 broken = broken or exc
-                rows.append(_row(job[1], "error"))
+                rows.append(_error_row(job[1]))
     if broken:
         _log.error("worker pool broke (%s); unfinished pairs become error rows", broken)
-    return rows + [_row(job[1], "error") for job in jobs[len(rows):]]
+    return rows + [_error_row(job[1]) for job in jobs[len(rows):]]
 
 
 def _band_summary(values: list[float]) -> dict:

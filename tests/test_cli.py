@@ -561,6 +561,19 @@ def test_generate_kind_mix_of_a_negative_part(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", ["1.5", "0", "nan", "x"])
+def test_regress_cutoff_outside_the_unit_interval_is_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "fit.json"
+    with pytest.raises(SystemExit) as err:
+        main(["regress", "--csv", str(tmp_path / "rows.csv"), "--x", "beta", "--y", "success",
+              "--cutoff", value, "--out", str(out)])
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert ("argument --cutoff: expected a probability strictly between 0 and 1, "
+            f"got {value!r}") in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["5..x", "x", "..5", "5..", ".."])
 def test_generate_states_needs_integers(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as err:

@@ -152,6 +152,12 @@ class TestRunPair:
         assert row.status == "timeout"
         assert row.refined_states == row.states
         assert row.reduction_ratio == 0.0
+        # the budget check fires before any work is counted, so every cell is fixed
+        row = run_pair("t", pairs[0][0], pairs[0][1], timeout=-1.0, deterministic_timing=True)
+        assert rows_to_csv([row]).splitlines()[1] == (
+            "t,10,10,100,487,207,1.343764480607317,0.28367556468172483,0.3865092402464066,"
+            "100,0,0.0,0.0,0,0,1,timeout"
+        )
 
     def test_over_5min_is_wall_clock_under_deterministic_timing(self):
         # a visible chain refines one state per round, so 1,000 states count
@@ -302,6 +308,10 @@ class TestRunExperiment:
             lines = out.read_text(encoding="utf-8").splitlines()
             assert lines == rows_to_csv(rows).splitlines()
             assert lines[3] == clean[3]  # pair00002's row is the one of the clean run
+            assert lines[1:3] + lines[4:] == [
+                f"{pair_id},0,0,0,0,0,NA,NA,NA,0,0,0.0,0.0,0,0,0,error"
+                for pair_id in ("pair00000", "pair00001", "zy", "zz_single")
+            ]
 
     def test_unexpected_exception_becomes_error_row(self, tmp_path, monkeypatch, caplog):
         corpus = tmp_path / "corpus"
