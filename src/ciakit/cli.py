@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -101,6 +102,15 @@ def _parse_probability(text: str) -> float:
     raise argparse.ArgumentTypeError(
         f"expected a probability strictly between 0 and 1, got {text!r}"
     )
+
+
+def _parse_timeout(text: str) -> float:
+    try:
+        if not math.isnan(float(text)):  # NaN compares false with every time: no budget
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}")
 
 
 def _parse_mix(text: str) -> tuple[float, float, float]:
@@ -228,7 +238,7 @@ _SHARED_OPTIONS = [
     (("--out",), dict(help="output file (default stdout)"),
      ("parse", "compose", "refine", "metrics", "experiment", "regress", "dot")),
     (("files",), dict(nargs="+"), ("parse", "compose", "refine", "metrics", "dot")),
-    (("--timeout",), dict(type=float, default=BUDGET_S, help="refinement budget, seconds"),
+    (("--timeout",), dict(type=_parse_timeout, default=BUDGET_S, help="refinement budget, seconds"),
      ("compose", "refine", "experiment")),
     (("--format",), dict(choices=("csv", "json"), default="csv"), ("metrics", "experiment")),
     (("--io",), dict(choices=("open", "closed"), default="open"), ("compose", "experiment")),

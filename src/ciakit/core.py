@@ -275,7 +275,8 @@ class Indexed(NamedTuple):
 
     def internal(self) -> list[bool]:
         """Per label id: whether the label is internal (silent)."""
-        return [label.kind is LabelKind.INTERNAL for label in self.labels]
+        # kind is INTERNAL, without the property: a Label has at most one absent annotation
+        return [None not in (label.src, label.dst) for label in self.labels]
 
 
 def reachable(automaton: Automaton) -> Automaton:

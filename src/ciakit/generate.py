@@ -111,8 +111,8 @@ class GenParams:
             raise ValidationError("kind_mix must be three non-negative proportions summing to 1")
         if not 0.0 <= self.clique_bias <= 1.0:
             raise ValidationError("clique_bias must lie in [0, 1]")
-        if self.pa_strength < 0:
-            raise ValidationError("pa_strength must be >= 0")
+        if not (math.isfinite(self.pa_strength) and self.pa_strength >= 0):
+            raise ValidationError(f"pa_strength must be finite and >= 0, got {self.pa_strength!r}")
 
 
 def _alphabet(params: GenParams, prefix: str = "a") -> list[str]:

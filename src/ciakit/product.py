@@ -260,7 +260,15 @@ class _Product:
         for all the sender's halves."""
         for i1, i2 in permutations(range(len(self.names)), 2):
             spread = self._spread(states, {i1, i2})
-            stride1, heard = self.strides[i1], self.heard(i2)
+            stride1, stride2 = self.strides[i1], self.strides[i2]
+            # per action and receiver annotation, i2's digit at and after each half, times stride2
+            heard: dict[str, dict[str, tuple[list[int], list[int]]]] = {}
+            for s2, inputs in enumerate(self.receives[i2]):
+                for action, halves in inputs.items():
+                    for n2, delta in halves:
+                        at, to = heard.setdefault(action, {}).setdefault(n2, ([], []))
+                        at.append(s2 * stride2)
+                        to.append(s2 * stride2 + delta)
             for s1, outputs in enumerate(self.sends[i1]):
                 for action, halves in outputs.items():
                     for n2, (at, to) in heard.get(action, {}).items():
@@ -295,47 +303,26 @@ class _Product:
                 deg_in[code] += 1
         return internal, deg_out, deg_in
 
-    def heard(self, i: int) -> dict[str, dict[str, tuple[list[int], list[int]]]]:
-        """Per action and receiver annotation, component ``i``'s digit before
-        and after each of its receiving halves, times its stride."""
-        stride = self.strides[i]
-        heard: dict[str, dict[str, tuple[list[int], list[int]]]] = {}
-        for s, inputs in enumerate(self.receives[i]):
-            for action, halves in inputs.items():
-                for n2, delta in halves:
-                    at, to = heard.setdefault(action, {}).setdefault(n2, ([], []))
-                    at.append(s * stride)
-                    to.append(s * stride + delta)
-        return heard
-
     def _spread(
         self, states: Sequence[int], fixed: set[int]
     ) -> Callable[[Iterable[int]], list[int]]:
         """A function from base codes to the codes that agree with one of
         them on the digits of the components in ``fixed`` (whose other
-        digits are 0 in each base), base by base, listed in one order for
-        every base.
-
-        Adjacent free digits form one run of codes ``step`` apart; the
-        longest run is taken as slices of ``states``, one per combination of
-        the other runs' values."""
-        runs: list[list[int]] = []  # [step, count] per run of adjacent free digits
-        free_before = False
-        for i in range(len(self.names) - 1, -1, -1):
-            free = i not in fixed
-            if free and free_before:
-                runs[-1][1] *= len(self.names[i])
-            elif free:
-                runs.append([self.strides[i], len(self.names[i])])
-            free_before = free
-        if not runs:  # every digit fixed, as for the syncs of 2 components
+        digits are 0 in each base), base by base, in one order for every
+        base: the j-th codes of two bases differ only in the fixed digits.
+        The free digits that run up to the last free one are taken as slices
+        of ``states``, one per value of the other free digits."""
+        free = [i for i in range(len(self.names)) if i not in fixed]
+        if not free:  # every digit fixed, as for the syncs of 2 components
             return lambda bases: list(map(states.__getitem__, bases))
-        runs.sort(key=lambda run: run[1])
-        step, count = runs.pop()
+        first = free.pop()
+        step = self.strides[first]
+        while free and free[-1] == first - 1:
+            first = free.pop()
+        span = self.strides[first] * len(self.names[first])
         offsets = [0]
-        for other, n in runs:
-            offsets = [o + j * other for o in offsets for j in range(n)]
-        span = step * count
+        for i in free:
+            offsets = [o + j * self.strides[i] for o in offsets for j in range(len(self.names[i]))]
 
         def spread(bases: Iterable[int]) -> list[int]:
             found: list[int] = []

@@ -574,6 +574,34 @@ def test_regress_cutoff_outside_the_unit_interval_is_usage_error(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_generate_pa_strength_must_be_finite(tmp_path, capsys, value):
+    """A NaN or infinite strength would make every weighted draw pick the last candidate."""
+    out = tmp_path / "gen"
+    assert main(["generate", "--pairs", "1", "--out", str(out), "--pa-strength", value]) == 2
+    assert f"pa_strength must be finite and >= 0, got {float(value)!r}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.cia"))
+
+
+@pytest.mark.parametrize("command", [
+    ["compose", "{pair}", "--pairwise"],
+    ["refine", "{doc}"],
+    ["experiment", "--corpus", "{corpus}", "--workers", "1"],
+], ids=lambda command: command[0])
+def test_timeout_nan_is_usage_error(command, doc, pair_file, tmp_path, capsys):
+    """A NaN budget compares false with every time, so it would bound nothing."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "pair.cia").write_bytes(pair_file.read_bytes())
+    paths = {"doc": doc, "pair": pair_file, "corpus": corpus}
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(**paths) for arg in command] + ["--timeout", "nan", "--out", str(out)])
+    assert err.value.code == 1
+    assert "argument --timeout: expected a number of seconds, got 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["5..x", "x", "..5", "5..", ".."])
 def test_generate_states_needs_integers(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as err:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import statistics
 
 import pytest
@@ -78,6 +79,10 @@ class TestGenerateParams:
             GenParams(clique_bias=1.5)
         with pytest.raises(ValidationError):
             GenParams(pa_strength=-1)
+        # a NaN or infinite weight would make every weighted draw pick the last candidate
+        for strength in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="^pa_strength must be finite"):
+                GenParams(pa_strength=strength)
 
 
 class TestGeneratePrimitive:
