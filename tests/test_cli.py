@@ -52,6 +52,14 @@ def pair_file(tmp_path):
     return path
 
 
+def _csv_then_json(args, capsys):
+    """Run ``args`` for CSV, then for JSON: the CSV header, its rows, the JSON records."""
+    assert main(args) == 0
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    assert main([*args, "--format", "json"]) == 0
+    return header, rows, json.loads(capsys.readouterr().out)
+
+
 def _three_components(tmp_path, c_label):
     """A sends m to B; C has one move on ``c_label``; all three in one file."""
     a = aut("A", ("A",), ["a0", "a1"], [("a0", ("A", "m", None), "a1")])
@@ -268,10 +276,11 @@ class TestMetrics:
             assert float(row[6]) == record.gini_out
 
     def test_json(self, doc, capsys):
-        assert main(["metrics", str(doc), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        header, rows, payload = _csv_then_json(["metrics", str(doc)], capsys)
         assert payload[0]["states"] == 2
         assert payload[0]["beta"] == 0.0
+        assert len(payload) == len(rows)
+        assert all(list(record) == header for record in payload)
 
 
 class TestDot:
@@ -335,10 +344,26 @@ class TestPipeline:
         assert set(payload) >= {"a", "b", "se_a", "se_b", "chi2", "p",
                                 "sensitivity", "specificity", "threshold_x@0.5"}
 
+        assert main([
+            "regress", "--csv", str(csv_path), "--x", "beta", "--y", "success", "--cutoff", "0.3",
+        ]) == 0
+        lower = json.loads(capsys.readouterr().out)
+        assert "threshold_x@0.3" in lower
+        # a lower cutoff predicts success for at least the same pairs
+        assert lower["sensitivity"] >= payload["sensitivity"]
+
         assert main(["experiment", "--report", str(csv_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["rows"] == 30
         assert "reduction>=0.5" in report["bands"]
+
+    def test_experiment_json(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["generate", "--pairs", "3", "--seed", "1", "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        header, rows, records = _csv_then_json(["experiment", "--corpus", str(corpus)], capsys)
+        assert len(records) == len(rows) == 3
+        assert all(list(record) == header for record in records)
 
     def test_generate_deterministic(self, tmp_path):
         first = tmp_path / "one"
@@ -583,22 +608,25 @@ def test_generate_pa_strength_must_be_finite(tmp_path, capsys, value):
     assert not list(tmp_path.rglob("*.cia"))
 
 
+@pytest.mark.parametrize("value", ["nan", "x"])
 @pytest.mark.parametrize("command", [
     ["compose", "{pair}", "--pairwise"],
     ["refine", "{doc}"],
     ["experiment", "--corpus", "{corpus}", "--workers", "1"],
 ], ids=lambda command: command[0])
-def test_timeout_nan_is_usage_error(command, doc, pair_file, tmp_path, capsys):
-    """A NaN budget compares false with every time, so it would bound nothing."""
+def test_timeout_nan_is_usage_error(command, value, doc, pair_file, tmp_path, capsys):
+    """A NaN budget compares false with every time, so it would bound nothing; a word
+    is no number of seconds at all."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "pair.cia").write_bytes(pair_file.read_bytes())
     paths = {"doc": doc, "pair": pair_file, "corpus": corpus}
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
-        main([arg.format(**paths) for arg in command] + ["--timeout", "nan", "--out", str(out)])
+        main([arg.format(**paths) for arg in command] + ["--timeout", value, "--out", str(out)])
     assert err.value.code == 1
-    assert "argument --timeout: expected a number of seconds, got 'nan'" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert f"argument --timeout: expected a number of seconds, got {value!r}" in stderr
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from ciakit import (
     GenParams,
     LabelKind,
     compose,
+    compose_pairwise_reduce,
     default_io_sets,
     generate_corpus,
     generate_primitive,
@@ -287,12 +288,16 @@ def test_round_trip_is_identity():
 
 def _generated(seed: int, form: str) -> Automaton:
     """A primitive; the reachable composite ``((C0)(C1))`` then ``(Z)``, whose
-    states are nested tuple tokens like ``((s0,s1),s2)``; or its quotient."""
+    states are nested tuple tokens like ``((s0,s1),s2)``; its quotient; or the
+    pairwise fold of the same three components."""
     params = GenParams(state_count_range=(2, 10 if form == "primitive" else 5), seed=seed)
     if form == "primitive":
         return generate_primitive(params)
     first, second = generate_corpus(params, 1)[0]
     third = generate_primitive(replace(params, seed=seed + 1), name="Z")
+    if form == "pairwise":
+        components = [first, second, third]
+        return compose_pairwise_reduce(components, default_io_sets(components))
     inner = reachable(compose([first, second], default_io_sets([first, second])))
     composite = reachable(compose([inner, third], default_io_sets([inner, third])))
     if form == "composite":
@@ -303,7 +308,7 @@ def _generated(seed: int, form: str) -> Automaton:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=0, max_value=10_000),
-    st.sampled_from(["primitive", "composite", "quotient"]),
+    st.sampled_from(["primitive", "composite", "quotient", "pairwise"]),
 )
 def test_round_trip_on_generated(seed, form):
     a = _generated(seed, form)
