@@ -8,6 +8,14 @@ required corpus directory) and only the shared options its handler reads:
 ``--workers`` (experiment); any other is a usage error.  Exit codes: 0
 success, 1 usage error, 2 data error, 3 experiment run dominated by
 refinement timeouts (at least one timed-out row).
+
+Compose and experiment also take ``--io open|closed`` and ``--provided`` /
+``--required`` (comma-separated actions that override ``--io``).  One table,
+``_OPTIONS``, lists every option with the commands that take it.  A call
+builds one parser: only the invoked command's, when the command line starts
+with a command.  The whole command tree is built only for a command line
+that does not, and to report leftover arguments.  ``--help`` prints this
+docstring but its last paragraph.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ from .metrics import metrics_record
 from .product import IoSets, compose, compose_pairwise_reduce, resolve_io
 from .refine import partition_refine, quotient
 from .regress import classify, fit_logistic, threshold_x
+
+_HELP = __doc__.rsplit("\n\n", 1)[0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,8 +243,21 @@ def _cmd_dot(args) -> int:
     return 0
 
 
-# each shared option: its flags, its settings and the subcommands that take it
-_SHARED_OPTIONS = [
+_COMMANDS = {
+    "parse": ("validate and canonicalize documents", _cmd_parse),
+    "compose": ("product composition", _cmd_compose),
+    "refine": ("weak-bisimulation reduction", _cmd_refine),
+    "metrics": ("structural metrics per automaton", _cmd_metrics),
+    "generate": ("write a seeded corpus of pairs", _cmd_generate),
+    "experiment": ("compose/refine every corpus pair into CSV rows", _cmd_experiment),
+    "regress": ("logistic model over experiment CSV", _cmd_regress),
+    "dot": ("Graphviz DOT export", _cmd_dot),
+}
+
+_GENERATE, _EXPERIMENT, _REGRESS = ("generate",), ("experiment",), ("regress",)
+# every option: its flags, its settings and the commands that take it; a
+# command's help lists its options in table order
+_OPTIONS = [
     (("--out",), dict(help="output file (default stdout)"),
      ("parse", "compose", "refine", "metrics", "experiment", "regress", "dot")),
     (("files",), dict(nargs="+"), ("parse", "compose", "refine", "metrics", "dot")),
@@ -250,74 +273,74 @@ _SHARED_OPTIONS = [
      dict(action="store_true",
           help="match internal moves by exact label instead of silent closure"),
      ("compose", "refine", "experiment")),
+    (("--pairwise",), dict(action="store_true", help="fold pairwise, reducing each step"),
+     ("compose",)),
+    (("--out",), dict(required=True, help="corpus directory"), _GENERATE),
+    (("--pairs",), dict(type=int, required=True), _GENERATE),
+    (("--seed",), dict(type=int, help="random seed"), _GENERATE),
+    (("--beta",), dict(dest="target_beta", metavar="BETA", type=float,
+                       help="target scaling exponent"), _GENERATE),
+    (("--states",), dict(dest="state_count_range", metavar="STATES",
+                         type=_parse_states_range, help="state count range MIN..MAX"), _GENERATE),
+    (("--clique-bias",), dict(type=float), _GENERATE),
+    (("--alphabet-size",), dict(type=int), _GENERATE),
+    (("--pa-strength",), dict(type=float), _GENERATE),
+    (("--kind-mix",), dict(type=_parse_mix, help="input,output,internal proportions"), _GENERATE),
+    (("--disjoint-alphabets",), dict(action="store_true"), _GENERATE),
+    (("--avoid-deadlocks",), dict(action="store_true",
+                                  help="route extra edges out of terminal states first"),
+     _GENERATE),
+    (("--corpus",), dict(help="directory of pair .cia files"), _EXPERIMENT),
+    (("--report",), dict(metavar="CSV",
+                         help="summarize an existing experiment CSV instead of running"),
+     _EXPERIMENT),
+    (("--workers",), dict(type=int, default=1, help="parallel workers"), _EXPERIMENT),
+    (("--deterministic-timing",),
+     dict(action="store_true", help="record refinement work units instead of wall-clock ms"),
+     _EXPERIMENT),
+    (("--csv",), dict(required=True), _REGRESS),
+    (("--x",), dict(required=True, choices=("beta", "states", "gini_in", "gini_out")), _REGRESS),
+    (("--y",), dict(required=True, choices=("success", "over5min")), _REGRESS),
+    (("--cutoff",), dict(type=_parse_probability, default=0.5), _REGRESS),
+    (("--over-ms",),
+     dict(type=int, default=OVER_MS,
+          help="over5min means elapsed_ms above this, in the CSV's unit: ms, or "
+               "work units for a --deterministic-timing CSV (default %(default)s, "
+               "five minutes in ms)"),
+     _REGRESS),
 ]
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ciakit", description=__doc__)
+def _add_command(parser: _Parser, name: str) -> _Parser:
+    """Give ``parser`` command ``name``'s options and handler."""
+    for flags, settings, names in _OPTIONS:
+        if name in names:
+            parser.add_argument(*flags, **settings)
+    parser.set_defaults(func=_COMMANDS[name][1])
+    if name == "generate":  # every generator default is GenParams' own
+        parser.set_defaults(**asdict(GenParams()))
+    return parser
+
+
+def _top_parser() -> _Parser:
+    """The whole command tree: it parses a command line that does not start
+    with a command, and it reports leftover arguments."""
+    parser = _Parser(prog="ciakit", description=_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, text, func in [
-        ("parse", "validate and canonicalize documents", _cmd_parse),
-        ("compose", "product composition", _cmd_compose),
-        ("refine", "weak-bisimulation reduction", _cmd_refine),
-        ("metrics", "structural metrics per automaton", _cmd_metrics),
-        ("generate", "write a seeded corpus of pairs", _cmd_generate),
-        ("experiment", "compose/refine every corpus pair into CSV rows", _cmd_experiment),
-        ("regress", "logistic model over experiment CSV", _cmd_regress),
-        ("dot", "Graphviz DOT export", _cmd_dot),
-    ]:
-        commands[name] = sub.add_parser(name, help=text)
-        commands[name].set_defaults(func=func)
-    # shared options come first, in table order, as the help lists them
-    for flags, settings, names in _SHARED_OPTIONS:
-        for name in names:
-            commands[name].add_argument(*flags, **settings)
-
-    commands["compose"].add_argument("--pairwise", action="store_true",
-                                     help="fold pairwise, reducing each step")
-
-    p = commands["generate"]
-    p.add_argument("--out", required=True, help="corpus directory")
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--beta", dest="target_beta", metavar="BETA", type=float,
-                   help="target scaling exponent")
-    p.add_argument("--states", dest="state_count_range", metavar="STATES",
-                   type=_parse_states_range, help="state count range MIN..MAX")
-    p.add_argument("--clique-bias", type=float)
-    p.add_argument("--alphabet-size", type=int)
-    p.add_argument("--pa-strength", type=float)
-    p.add_argument("--kind-mix", type=_parse_mix, help="input,output,internal proportions")
-    p.add_argument("--disjoint-alphabets", action="store_true")
-    p.add_argument("--avoid-deadlocks", action="store_true",
-                   help="route extra edges out of terminal states first")
-    # every generator default is GenParams' own
-    p.set_defaults(**asdict(GenParams()))
-
-    p = commands["experiment"]
-    p.add_argument("--corpus", help="directory of pair .cia files")
-    p.add_argument("--report", metavar="CSV",
-                   help="summarize an existing experiment CSV instead of running")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
-    p.add_argument("--deterministic-timing", action="store_true",
-                   help="record refinement work units instead of wall-clock ms")
-
-    p = commands["regress"]
-    p.add_argument("--csv", required=True)
-    p.add_argument("--x", required=True, choices=("beta", "states", "gini_in", "gini_out"))
-    p.add_argument("--y", required=True, choices=("success", "over5min"))
-    p.add_argument("--cutoff", type=_parse_probability, default=0.5)
-    p.add_argument("--over-ms", type=int, default=OVER_MS,
-                   help="over5min means elapsed_ms above this, in the CSV's unit: ms, or "
-                        "work units for a --deterministic-timing CSV (default %(default)s, "
-                        "five minutes in ms)")
+    for name, (text, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_command(_Parser(prog=f"ciakit {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:  # the tree reports leftovers at its top, under its own usage
+            _top_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = _top_parser().parse_args(argv)  # help, or a usage error: it exits
     try:
         return args.func(args)
     except (CiaError, OSError, ValueError) as exc:

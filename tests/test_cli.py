@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ciakit import cli
 from ciakit.cli import main
 from ciakit import (
     ExperimentRow,
@@ -530,6 +531,74 @@ def test_help_and_usage_errors_pinned(monkeypatch, capsys):
     if pinned is None:
         pytest.skip(f"no help digest pinned for Python {sys.version_info[0]}.{sys.version_info[1]}")
     assert digest.hexdigest() == pinned
+
+
+TOP_USAGE = "usage: ciakit [-h]"
+
+
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_leftover_arguments_are_reported_at_the_top(capsys):
+    err = _usage_error(["experiment", "--corpus", "D", "stray"], capsys)
+    assert err.startswith(TOP_USAGE)
+    assert err.endswith("\nciakit: error: unrecognized arguments: stray\n")
+
+
+def test_unknown_command_is_reported_at_the_top(capsys):
+    err = _usage_error(["bogus"], capsys)
+    assert err.startswith(TOP_USAGE)
+    assert "ciakit: error: argument command: invalid choice: 'bogus'" in err
+
+
+def test_bad_option_value_is_reported_by_the_command(capsys):
+    err = _usage_error(["experiment", "--workers", "x"], capsys)
+    assert err.startswith("usage: ciakit experiment")
+    assert "ciakit experiment: error: argument --workers: invalid int value: 'x'" in err
+
+
+def test_help_before_a_command_is_the_top_help(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["-h", "experiment"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(TOP_USAGE)
+    assert "write a seeded corpus of pairs" in out
+    assert "--corpus" not in out
+
+
+def test_abbreviated_option_still_parses(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda corpus, **kwargs: seen.append(corpus) or [])
+    assert main(["experiment", "--corp", str(tmp_path)]) == 0
+    assert seen == [str(tmp_path)]
+
+
+@pytest.mark.parametrize("argv", [["parse", "{doc}"], ["metrics", "{doc}", "--format", "json"]],
+                         ids=lambda argv: argv[0])
+def test_a_valid_command_line_builds_one_parser(argv, doc, monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main([arg.format(doc=doc) for arg in argv]) == 0
+    assert built == [f"ciakit {argv[0]}"]
+
+
+def test_main_without_argv_reads_sys_argv(doc, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ciakit", "parse", str(doc)])
+    assert main() == 0
+    assert capsys.readouterr().out == MINIMAL
 
 
 def test_generate_needs_out_dir(capsys):
